@@ -205,7 +205,8 @@ let emit_jru exp pc ~opcode ~target =
     ~arg1:target ~arg2:opcode
 
 (* Emit [n] consecutive plain instructions from the cursor: one
-   [tag_plain_run] cell on the RLE path, [n] plain cells otherwise. *)
+   [tag_plain_run] cell on the RLE path, [n] plain cells otherwise. A
+   non-positive [n] emits nothing, so callers pass [count - k] unclamped. *)
 let emit_plain_run exp ~dispatch ~step n =
   if n > 0 then begin
     (if exp.rle then
@@ -244,12 +245,12 @@ let emit_decode_to_target exp ~step ~opcode =
   let d = exp.spec.dispatch in
   emit_plain_dispatch exp ~step d.decode_instrs;
   (* bound check: compare + never-taken branch to the error arm *)
-  emit_plain_dispatch exp ~step (max 0 (d.bound_check_instrs - 1));
+  emit_plain_dispatch exp ~step (d.bound_check_instrs - 1);
   emit_cond_branch exp ~dispatch:true exp.epc ~taken:false
     ~target:(Layout.default_handler exp.layout);
   exp.epc <- exp.epc + step;
   (* target calculation, ending with the jump-table load *)
-  emit_plain_dispatch exp ~step (max 0 (d.target_calc_instrs - 1));
+  emit_plain_dispatch exp ~step (d.target_calc_instrs - 1);
   emit_mem exp ~dispatch:true ~sets_rop:false ~write:false exp.epc
     ~addr:(Layout.jump_table_entry exp.layout opcode);
   exp.epc <- exp.epc + step
@@ -273,7 +274,7 @@ let emit_dispatch_prefix exp ~step ~overhead ~fetch_addr =
   emit_mem exp ~dispatch:true ~sets_rop:scd ~write:false exp.epc
     ~addr:fetch_addr;
   exp.epc <- exp.epc + step;
-  emit_plain_dispatch exp ~step (max 0 (d.fetch_instrs - 3));
+  emit_plain_dispatch exp ~step (d.fetch_instrs - 3);
   emit_mem exp ~dispatch:true ~sets_rop:false ~write:true exp.epc
     ~addr:vm_state;
   exp.epc <- exp.epc + step;
@@ -386,7 +387,7 @@ let emit_handler exp (tr : Trace.t) =
   (* A control-dependent branch, if any, claims the last body slot even
      from a data access; the slots before it are accesses then plains. *)
   let slots = if spec_handler.ctrl_branch then body - 1 else body in
-  let mems = min n_acc slots in
+  let mems = if n_acc < slots then n_acc else slots in
   for k = 0 to mems - 1 do
     let addr =
       Layout.access_addr_flat exp.layout ~kind:(Trace.access_kind tr k)

@@ -87,8 +87,11 @@ let tag_of t key = key lsr 2 lsr t.set_shift
 (* Slot index of the matching way, or -1. The expected meta word fuses the
    valid-bit and namespace checks into one compare per way. Top-level tail
    recursion: a local [let rec] closure would capture its environment and
-   allocate ~9 words per call, which the per-event hot path cannot afford. *)
-let rec find_slot_from meta tags ~want ~tag base ways w =
+   allocate ~9 words per call, which the per-event hot path cannot afford.
+   The annotations keep both compares int compares instead of [caml_equal]
+   calls. *)
+let rec find_slot_from (meta : int array) (tags : int array) ~(want : int)
+    ~(tag : int) base ways w =
   if w = ways then -1
   else
     let slot = base + w in

@@ -12,7 +12,8 @@ type stats = { mutable accesses : int; mutable misses : int }
 (* Struct-of-arrays storage: way [w] of set [s] lives at slot [s * ways + w]
    in three parallel int arrays. An invalid line is encoded as [tags.(slot)
    = invalid_tag] (no real tag is negative), so the hit scan is a single
-   int-compare loop with no per-line record, option or closure. *)
+   int-compare loop with no per-line record, option or closure. A TLB is
+   the one-set case (see {!tlb_geometry}). *)
 type t = {
   geometry : geometry;
   sets : int;
@@ -22,9 +23,9 @@ type t = {
   stamps : int array;
   mru : int array;
       (* Per set: the slot of the set's last hit or fill, checked before
-         the way scan (the TLB uses the same trick with a single slot).
-         Straight-line fetch walks one block for many consecutive
-         instructions, so the first compare almost always hits; a tag
+         the way scan. Straight-line fetch walks one block for many
+         consecutive instructions, so the first compare almost always
+         hits (for a TLB, consecutive accesses stay on one page); a tag
          lives in at most one way of its set, so the short-circuit's
          answer — and every stat, tick and stamp update — is identical to
          the full scan's. *)
@@ -33,6 +34,16 @@ type t = {
 }
 
 let invalid_tag = -1
+
+let page_bytes = 4096
+
+let tlb_geometry ~entries =
+  {
+    size_bytes = entries * page_bytes;
+    ways = entries;
+    block_bytes = page_bytes;
+    hit_latency = 0;
+  }
 
 let create geometry =
   let { size_bytes; ways; block_bytes; _ } = geometry in
@@ -59,8 +70,10 @@ let create geometry =
   }
 
 (* Top-level tail recursion: a local [let rec] closure would capture its
-   environment and allocate per call, which the hot path cannot afford. *)
-let rec find_line tags tag stop s =
+   environment and allocate per call, which the hot path cannot afford. The
+   annotations keep [=] an int compare: left polymorphic, it compiles to a
+   [caml_equal] call per way. *)
+let rec find_line (tags : int array) (tag : int) stop s =
   if s > stop then -1
   else if tags.(s) = tag then s
   else find_line tags tag stop (s + 1)

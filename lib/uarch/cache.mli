@@ -1,8 +1,8 @@
-(** Set-associative cache model (used for L1 I, L1 D and, on the high-end
-    configuration, a unified L2). Tracks hits/misses only — the datapath
-    carries no data, timing is charged by the pipeline. Write misses allocate
-    (write-allocate, write-back is not modelled since only latency matters
-    here). *)
+(** Set-associative cache model (used for L1 I, L1 D, the I- and D-TLBs
+    and, on the high-end configuration, a unified L2). Tracks hits/misses
+    only — the datapath carries no data, timing is charged by the pipeline.
+    Write misses allocate (write-allocate, write-back is not modelled since
+    only latency matters here). *)
 
 type geometry = {
   size_bytes : int;
@@ -14,6 +14,12 @@ type geometry = {
 type t
 
 type stats = { mutable accesses : int; mutable misses : int }
+
+val tlb_geometry : entries:int -> geometry
+(** A fully-associative TLB of [entries] 4 KiB pages: one set of [entries]
+    ways with page-sized blocks, so a block number is a VPN. The paper's
+    cores carry 8-10 entry I- and D-TLBs; the pipeline charges a fixed walk
+    penalty per miss. *)
 
 val create : geometry -> t
 

@@ -15,7 +15,8 @@ type kind =
 (* 2-bit saturating counter helpers; counters start weakly taken (2). *)
 let counter_table n = Array.make n 2
 let counter_taken c = c >= 2
-let counter_update c taken = if taken then min 3 (c + 1) else max 0 (c - 1)
+let counter_update c taken =
+  if taken then if c >= 3 then 3 else c + 1 else if c <= 0 then 0 else c - 1
 
 type state =
   | S_static

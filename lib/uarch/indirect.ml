@@ -92,7 +92,7 @@ let ttc_tag ~pc = pc lsr 2
 
 let ittage_fold_history ghist ~bits =
   (* fold the low [bits] of history into 12 bits *)
-  let h = ghist land Bits.mask (min bits 60) in
+  let h = ghist land Bits.mask (if bits < 60 then bits else 60) in
   (h lxor (h lsr 12) lxor (h lsr 24)) land 0xFFF
 
 let ittage_index (c : ittage_table) ~pc ~ghist =
@@ -176,11 +176,13 @@ let update_target t ~pc ~hint ~target =
     (if matched >= 0 then begin
        let c = s.components.(matched lsr 32) in
        let idx = matched land 0xFFFF_FFFF in
-       if c.t_targets.(idx) = target then
-         c.t_useful.(idx) <- min 3 (c.t_useful.(idx) + 1)
+       let useful = c.t_useful.(idx) in
+       if c.t_targets.(idx) = target then begin
+         if useful < 3 then c.t_useful.(idx) <- useful + 1
+       end
        else begin
          (* replace the target; decay usefulness *)
-         c.t_useful.(idx) <- max 0 (c.t_useful.(idx) - 1);
+         if useful > 0 then c.t_useful.(idx) <- useful - 1;
          if c.t_useful.(idx) = 0 then c.t_targets.(idx) <- target
        end
      end);

@@ -9,8 +9,8 @@ type t = {
   icache : Cache.t;
   dcache : Cache.t;
   l2 : Cache.t option;
-  itlb : Tlb.t;
-  dtlb : Tlb.t;
+  itlb : Cache.t;
+  dtlb : Cache.t;
   stats : Stats.t;
   scratch : Event.scratch; (* staging area for the boxed [consume] shim *)
   mutable probe : Scd_obs.Probe.t;
@@ -44,8 +44,8 @@ let create ?btb ?(indirect = Indirect.Pc_btb) (config : Config.t) =
     icache = Cache.create config.icache;
     dcache = Cache.create config.dcache;
     l2 = Option.map Cache.create config.l2;
-    itlb = Tlb.create ~entries:config.itlb_entries;
-    dtlb = Tlb.create ~entries:config.dtlb_entries;
+    itlb = Cache.create (Cache.tlb_geometry ~entries:config.itlb_entries);
+    dtlb = Cache.create (Cache.tlb_geometry ~entries:config.dtlb_entries);
     stats = Stats.create ();
     scratch = Event.scratch_create ();
     probe = Scd_obs.Probe.null;
@@ -81,7 +81,7 @@ let fetch t pc =
   let block = pc lsr t.fetch_shift in
   if block <> t.last_fetch_block then begin
     t.last_fetch_block <- block;
-    (match Tlb.access t.itlb ~addr:pc with
+    (match Cache.access t.itlb ~addr:pc with
      | `Hit -> ()
      | `Miss ->
        t.stats.itlb_misses <- t.stats.itlb_misses + 1;
@@ -95,7 +95,7 @@ let fetch t pc =
   end
 
 let data_access t addr =
-  (match Tlb.access t.dtlb ~addr with
+  (match Cache.access t.dtlb ~addr with
    | `Hit -> ()
    | `Miss ->
      t.stats.dtlb_misses <- t.stats.dtlb_misses + 1;
@@ -250,7 +250,7 @@ let consume_cell t ~pc ~flags ~arg1 ~arg2 =
     (match t.config.bop_policy with
      | `Stall ->
        let distance = s.instructions - t.last_rop_index in
-       let bubbles = max 0 (t.config.rop_gap - distance) in
+       let bubbles = t.config.rop_gap - distance in
        if bubbles > 0 then begin
          s.bop_stall_cycles <- s.bop_stall_cycles + bubbles;
          stall t bubbles

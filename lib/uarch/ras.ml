@@ -14,7 +14,7 @@ let push t v =
   t.slots.(t.top) <- v;
   let next = t.top + 1 in
   t.top <- (if next = Array.length t.slots then 0 else next);
-  t.count <- min (t.count + 1) (Array.length t.slots)
+  if t.count < Array.length t.slots then t.count <- t.count + 1
 
 (* Sentinel for the allocation-free pop: return addresses are non-negative,
    so [min_int] can never be a stored slot value. *)

@@ -295,13 +295,13 @@ let test_cache_bad_geometry () =
    pre-change cache (plain way scan + LRU victim, no MRU slot) and require
    the same hit/miss answer on every access and the same victim on every
    miss — the evicted block must be gone from the real cache, and at the
-   end every reference-resident block must still be present. *)
-let test_cache_mru_matches_reference_lru () =
-  let geometry =
-    { Cache.size_bytes = 512; ways = 4; block_bytes = 32; hit_latency = 1 }
-  in
-  let sets = 4 (* 512 / 32 blocks / 4 ways *) and ways = 4 in
-  let set_shift = 2 and block_shift = 5 in
+   end every reference-resident block must still be present. Addresses are
+   drawn from [0, pool). *)
+let check_cache_mru_matches_reference_lru geometry ~pool =
+  let { Cache.size_bytes; ways; block_bytes; _ } = geometry in
+  let sets = size_bytes / block_bytes / ways in
+  let set_shift = Scd_util.Bits.log2 sets in
+  let block_shift = Scd_util.Bits.log2 block_bytes in
   let c = Cache.create geometry in
   let r_tags = Array.make_matrix sets ways (-1) in
   let r_stamps = Array.make_matrix sets ways 0 in
@@ -311,7 +311,7 @@ let test_cache_mru_matches_reference_lru () =
   for i = 1 to 10_000 do
     (* a small address pool keeps every set under constant conflict, and
        repeats both exercise the MRU slot and defeat it *)
-    let addr = Random.State.int rng 4096 in
+    let addr = Random.State.int rng pool in
     let block = addr lsr block_shift in
     let set = block land (sets - 1) in
     let tag = block lsr set_shift in
@@ -365,6 +365,13 @@ let test_cache_mru_matches_reference_lru () =
   check_int "same accesses" 10_000 s.accesses;
   check_int "same misses" !misses s.misses
 
+let test_cache_mru_matches_reference_lru () =
+  check_cache_mru_matches_reference_lru ~pool:4096
+    { Cache.size_bytes = 512; ways = 4; block_bytes = 32; hit_latency = 1 };
+  (* the pipeline's TLB geometry: one set, ten 4 KiB ways, 16 live pages *)
+  check_cache_mru_matches_reference_lru ~pool:(16 * 4096)
+    (Cache.tlb_geometry ~entries:10)
+
 let prop_cache_never_exceeds_capacity =
   QCheck.Test.make ~name:"resident blocks bounded by capacity" ~count:100
     QCheck.(small_list (int_bound 0xFFFF))
@@ -377,14 +384,14 @@ let prop_cache_never_exceeds_capacity =
       done;
       !resident <= 4)
 
-let test_tlb () =
-  let t = Tlb.create ~entries:2 in
-  Alcotest.(check bool) "miss" true (Tlb.access t ~addr:0x1000 = `Miss);
-  Alcotest.(check bool) "hit same page" true (Tlb.access t ~addr:0x1FFF = `Hit);
-  ignore (Tlb.access t ~addr:0x2000);
-  ignore (Tlb.access t ~addr:0x1000); (* refresh *)
-  ignore (Tlb.access t ~addr:0x5000); (* evicts 0x2000 *)
-  Alcotest.(check bool) "lru evicted" true (Tlb.access t ~addr:0x2000 = `Miss)
+let test_cache_tlb_geometry () =
+  let t = Cache.create (Cache.tlb_geometry ~entries:2) in
+  Alcotest.(check bool) "miss" true (Cache.access t ~addr:0x1000 = `Miss);
+  Alcotest.(check bool) "hit same page" true (Cache.access t ~addr:0x1FFF = `Hit);
+  ignore (Cache.access t ~addr:0x2000);
+  ignore (Cache.access t ~addr:0x1000); (* refresh *)
+  ignore (Cache.access t ~addr:0x5000); (* evicts 0x2000 *)
+  Alcotest.(check bool) "lru evicted" true (Cache.access t ~addr:0x2000 = `Miss)
 
 (* ------------------------------------------------------------------ *)
 (* Indirect prediction                                                 *)
@@ -662,7 +669,7 @@ let () =
           Alcotest.test_case "mru way matches reference lru" `Quick
             test_cache_mru_matches_reference_lru;
           QCheck_alcotest.to_alcotest prop_cache_never_exceeds_capacity;
-          Alcotest.test_case "tlb" `Quick test_tlb;
+          Alcotest.test_case "tlb" `Quick test_cache_tlb_geometry;
         ] );
       ( "indirect",
         [
