@@ -304,12 +304,14 @@ let micro_tests () =
   let fib10 =
     "function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end print(fib(10))"
   in
-  let cosim_micro scheme suffix =
+  let cosim_micro ?(machine = Scd_uarch.Config.simulator)
+      ?context_switch_interval scheme suffix =
     Test.make ~name:("cosim-fib10-" ^ suffix)
       (Staged.stage (fun () ->
            ignore
              (Scd_cosim.Driver.run
-                { Scd_cosim.Driver.default_config with scheme }
+                { Scd_cosim.Driver.default_config with scheme; machine;
+                  context_switch_interval }
                 ~source:fib10)))
   in
   [ pipeline_consume; pipeline_consume_scratch; pipeline_scratch_probe_off;
@@ -318,7 +320,12 @@ let micro_tests () =
     cosim_micro Scd_core.Scheme.Baseline "baseline";
     cosim_micro Scd_core.Scheme.Jump_threading "jte";
     cosim_micro Scd_core.Scheme.Vbbi "vbbi";
-    cosim_micro Scd_core.Scheme.Scd "scd" ]
+    cosim_micro Scd_core.Scheme.Scd "scd";
+    (* the context-switch quota walk (JTE flushes every 1000 instructions)
+       and the dual-issue closed form, on the same stamped run-length path *)
+    cosim_micro ~context_switch_interval:1_000 Scd_core.Scheme.Scd "scd-cs";
+    cosim_micro ~machine:Scd_uarch.Config.high_end Scd_core.Scheme.Scd
+      "scd-highend" ]
 
 type micro_result = {
   name : string;

@@ -276,6 +276,8 @@ let trace_cmd =
   let action workload vm scheme machine scale interval out csv attr
       context_switch multi_table =
     if interval <= 0 then `Error (false, "--interval must be positive")
+    else if Option.fold ~none:false ~some:(fun n -> n <= 0) context_switch
+    then `Error (false, "--cs-interval must be positive")
     else
       match Scd_workloads.Registry.find workload with
       | None ->

@@ -64,8 +64,7 @@ type expander = {
   rle : bool;
       (* Emit straight-line plain instructions as one [tag_plain_run] cell
          instead of one cell each. Off on the boxed path (runs have no boxed
-         form) and under a context-switch interval (retire bookkeeping is
-         counted per instruction at flush). *)
+         form). *)
   mutable prev_opcode : int;  (* -1 before the first dispatch *)
   last_bop_pcs : int array;  (* Rbop-pc, per branch ID *)
   mutable bytecodes : int;
@@ -79,9 +78,6 @@ type expander = {
          current batch is four ints written in place, drained in order by
          the pipeline at the next flush point — no [Event.t] is allocated
          per instruction. *)
-  scratch : Event.scratch;
-      (* Decode staging for the context-switch flush loop, which must
-         interleave retire bookkeeping between cells. *)
   trap : (Event.tape -> unit) option;
       (* Test observer: called on every non-empty tape batch just before it
          is drained. [None] (the default) costs one field load per flush. *)
@@ -89,9 +85,9 @@ type expander = {
       (* Precompiled per-(site, opcode) cell templates: when present,
          [on_bytecode] stamps whole dispatcher / helper-call sequences with
          {!Event.tape_blit} and patches the run-dependent words, instead of
-         re-deriving every cell through the emit helpers. Only on the flat
-         RLE path ([`Flat], no context-switch interval); [`Flat_push] keeps
-         the cell-by-cell emission for differential testing. *)
+         re-deriving every cell through the emit helpers. Only on the
+         [`Flat] path; [`Flat_push] keeps the cell-by-cell emission for
+         differential testing. *)
 }
 
 let table_of_site = function
@@ -116,35 +112,46 @@ let rop_ready exp =
    as if every event had been consumed at emission time: before every
    {!Scd_core.Engine.bop}/{!Scd_core.Engine.jru} (the engine reads and
    writes the shared BTB) and at the end of each bytecode. Under a
-   context-switch interval the retire bookkeeping runs between cells, so an
-   engine-triggered JTE flush lands at the exact event boundary it did when
-   events were consumed one at a time. *)
+   context-switch interval the walker stops after the instruction that
+   completes the interval (splitting a plain run there if need be), so an
+   engine-triggered JTE flush lands at the exact instruction boundary it
+   did when events were consumed one at a time. *)
+
+(* Retire bookkeeping for [n] freshly consumed instructions. *)
+let note_retired exp interval n =
+  exp.retired_since_cs <- exp.retired_since_cs + n;
+  if exp.retired_since_cs >= interval then begin
+    exp.retired_since_cs <- 0;
+    Scd_core.Engine.retire exp.engine interval
+  end
+
 let flush exp =
   let tape = exp.tape in
   let cells = Event.tape_cells tape in
   if cells > 0 then begin
     (match exp.trap with None -> () | Some f -> f tape);
-    (match exp.cs_interval with
-     | None ->
-       if exp.boxed then
-         for i = 0 to cells - 1 do
-           Pipeline.consume exp.pipeline (Event.tape_to_event tape i)
-         done
-       else Pipeline.consume_tape exp.pipeline tape
-     | Some interval ->
+    (if exp.boxed then
+       (* the reference path: one boxed event, one instruction, per cell *)
        for i = 0 to cells - 1 do
-         (if exp.boxed then
-            Pipeline.consume exp.pipeline (Event.tape_to_event tape i)
-          else begin
-            Event.tape_load_scratch tape i exp.scratch;
-            Pipeline.consume_scratch exp.pipeline exp.scratch
-          end);
-         exp.retired_since_cs <- exp.retired_since_cs + 1;
-         if exp.retired_since_cs >= interval then begin
-           exp.retired_since_cs <- 0;
-           Scd_core.Engine.retire exp.engine interval
-         end
-       done);
+         Pipeline.consume exp.pipeline (Event.tape_to_event tape i);
+         match exp.cs_interval with
+         | None -> ()
+         | Some interval -> note_retired exp interval 1
+       done
+     else
+       match exp.cs_interval with
+       | None -> Pipeline.consume_tape exp.pipeline tape
+       | Some interval ->
+         let stats = Pipeline.stats exp.pipeline in
+         let words = Event.tape_extent tape in
+         let i = ref 0 in
+         while !i < words do
+           let before = stats.Stats.instructions in
+           i :=
+             Pipeline.consume_tape_quota exp.pipeline tape ~from:!i
+               ~quota:(interval - exp.retired_since_cs);
+           note_retired exp interval (stats.Stats.instructions - before)
+         done);
     Event.tape_clear tape
   end
 
@@ -426,8 +433,8 @@ let dispatch_site exp =
   if exp.prev_opcode < 0 then Layout.Common_site
   else Layout.site_of_opcode exp.layout exp.prev_opcode
 
-(* Cell-by-cell dispatch emission (no templates, or the [`Flat_push] /
-   boxed / context-switch paths). *)
+(* Cell-by-cell dispatch emission (no templates: the [`Flat_push] and
+   boxed paths). *)
 let push_dispatch exp ~opcode ~fetch_addr =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading ->
@@ -571,7 +578,6 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
       retired_since_cs = 0;
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
-      scratch = Event.scratch_create ();
       trap = None;
       templates = None (* the builder itself emits cell by cell *);
     }
@@ -690,15 +696,12 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
           ~fn_code_sizes:(F.fn_code_sizes program)
           ~fn_const_counts:(F.fn_const_counts program))
   in
-  let rle =
-    (event_path = `Flat || event_path = `Flat_push)
-    && config.context_switch_interval = None
-  in
+  let rle = event_path = `Flat || event_path = `Flat_push in
   let templates =
-    (* Stamping requires the RLE cell shapes and per-bytecode flushes
-       ([`Flat] only); [`Flat_push] deliberately keeps the cell-by-cell
-       emitters alive for word-for-word differential testing. *)
-    if event_path = `Flat && rle then
+    (* Stamping requires the RLE cell shapes ([`Flat] only); [`Flat_push]
+       deliberately keeps the cell-by-cell emitters alive for word-for-word
+       differential testing. *)
+    if event_path = `Flat then
       Some
         (Scd_obs.Prof.span "templates" (fun () ->
              Template.find_or_build ~spec ~scheme:config.scheme (fun () ->
@@ -724,7 +727,6 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
       retired_since_cs = 0;
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
-      scratch = Event.scratch_create ();
       trap = tape_trap;
       templates;
     }

@@ -191,10 +191,7 @@ val tape_cell_dispatch : tape -> int -> bool
 val tape_cell_arg1 : tape -> int -> int
 val tape_cell_arg2 : tape -> int -> int
 (** Raw accessors for cell [i], for consumers that dispatch on the tag
-    before paying for a full scratch decode. *)
-
-val tape_load_scratch : tape -> int -> scratch -> unit
-(** Decode cell [i] into [scratch] without allocating. *)
+    before paying for a full decode. *)
 
 val tape_to_event : tape -> int -> t
 (** Boxed decode of cell [i] (for differential testing of the legacy

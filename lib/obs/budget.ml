@@ -53,6 +53,12 @@ let table =
     { name = "cosim-fib10-jte"; minor_words_per_run = 18800.0 };
     { name = "cosim-fib10-vbbi"; minor_words_per_run = 20900.0 };
     { name = "cosim-fib10-scd"; minor_words_per_run = 28500.0 };
+    (* the context-switch quota walk and the dual-issue closed form, on the
+       same stamped run-length path: per-run setup only, like the rows
+       above. Measured 2026-10-17 at quota 0.25: both 17.5k-17.8k over
+       five runs (one 19.0k outlier); ceilings ~1.05x the steady 17.8k. *)
+    { name = "cosim-fib10-scd-cs"; minor_words_per_run = 18700.0 };
+    { name = "cosim-fib10-scd-highend"; minor_words_per_run = 18700.0 };
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) table

@@ -298,17 +298,18 @@ let issue_plain t =
     t.group_has_mem <- false
   end
 
-(* Consume a run of [count] plain instructions starting at [pc], spaced
-   [stride] bytes apart, in aggregate. Bit-identical to consuming them one
-   by one: instruction/dispatch counts add up, the I-side is touched once
-   per cache-block transition exactly as the per-instruction [fetch]
-   short-circuit would, and on a single-issue machine each plain
-   instruction costs one cycle. With a probe attached or a dual-issue
-   front end the exact per-instruction loop runs instead (retire hooks and
-   pairing state are per-instruction observable). *)
+(* Consume a run of [count >= 1] plain instructions starting at [pc],
+   spaced [stride] bytes apart, in aggregate. Bit-identical to consuming
+   them one by one: instruction/dispatch counts add up, the I-side is
+   touched once per cache-block transition exactly as the per-instruction
+   [fetch] short-circuit would, and issue groups open in closed form. With
+   a probe attached the exact per-instruction loop runs instead: [on_retire]
+   must fire once per instruction, and an interval sampler reads the cycle
+   and miss counters at that retirement, so they must advance one
+   instruction at a time. *)
 let consume_plain_run t ~pc ~dispatch ~count ~stride =
   let s = t.stats in
-  if t.probe == Scd_obs.Probe.null && t.config.issue_width = 1 then begin
+  if t.probe == Scd_obs.Probe.null then begin
     s.instructions <- s.instructions + count;
     if dispatch then
       s.dispatch_instructions <- s.dispatch_instructions + count;
@@ -322,10 +323,22 @@ let consume_plain_run t ~pc ~dispatch ~count ~stride =
     for b = (pc lsr t.fetch_shift) + 1 to last_block do
       fetch t (b lsl t.fetch_shift)
     done;
-    (* Single issue, [pair_open] invariantly false: one cycle each, and the
-       last instruction leaves a fresh mem-free issue group. *)
-    s.cycles <- s.cycles + count;
-    t.group_has_mem <- false
+    (* [issue_plain] [count] times, in closed form. *)
+    if t.config.issue_width = 1 then begin
+      (* [pair_open] invariantly false: every instruction opens a group,
+         and the last leaves a fresh mem-free one *)
+      s.cycles <- s.cycles + count;
+      t.group_has_mem <- false
+    end
+    else begin
+      (* Groups alternate: an open slot absorbs the first instruction and
+         every second one after it opens a group, so [pair_open] ends
+         flipped iff [count] is odd. Any opened group is mem-free. *)
+      let groups = if t.pair_open then count / 2 else (count + 1) / 2 in
+      s.cycles <- s.cycles + groups;
+      if count land 1 = 1 then t.pair_open <- not t.pair_open;
+      if groups > 0 then t.group_has_mem <- false
+    end
   end
   else
     for k = 0 to count - 1 do
@@ -337,22 +350,49 @@ let consume_plain_run t ~pc ~dispatch ~count ~stride =
       if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
     done
 
-let consume_tape t tape =
-  (* Walk the backing buffer directly: the tape only grows on the producer
-     side, so the reference stays valid for the whole drain, and each cell
-     costs four loads feeding {!consume_cell} — no scratch round-trip. *)
+(* The one tape walker. Walks the backing buffer directly: the tape only
+   grows on the producer side, so the reference stays valid for the whole
+   drain, and each cell costs four loads feeding {!consume_cell} or
+   {!consume_plain_run} — no scratch round-trip. The walk stops right
+   after the [quota]-th instruction; a run cell straddling that boundary
+   is split in place (its [pc] and count rewritten to the unconsumed
+   tail), so the returned word index resumes exactly where the walk
+   stopped. *)
+let consume_tape_quota t tape ~from ~quota =
   let words = Event.tape_extent tape in
   let buf = Event.tape_words tape in
-  let i = ref 0 in
-  while !i < words do
+  let s = t.stats in
+  let limit =
+    if quota > max_int - s.instructions then max_int
+    else s.instructions + quota
+  in
+  let i = ref from in
+  while !i < words && s.instructions < limit do
     let base = !i in
     let flags = buf.(base + 1) in
-    if flags land 0xF = Event.tag_plain_run then
-      consume_plain_run t ~pc:buf.(base)
-        ~dispatch:(flags land Event.flag_dispatch <> 0)
-        ~count:buf.(base + 2) ~stride:buf.(base + 3)
-    else
+    if flags land 0xF = Event.tag_plain_run then begin
+      let pc = buf.(base) in
+      let count = buf.(base + 2) in
+      let stride = buf.(base + 3) in
+      let dispatch = flags land Event.flag_dispatch <> 0 in
+      let room = limit - s.instructions in
+      if count <= room then begin
+        consume_plain_run t ~pc ~dispatch ~count ~stride;
+        i := base + Event.cell_words
+      end
+      else begin
+        consume_plain_run t ~pc ~dispatch ~count:room ~stride;
+        buf.(base) <- pc + (room * stride);
+        buf.(base + 2) <- count - room
+      end
+    end
+    else begin
       consume_cell t ~pc:buf.(base) ~flags ~arg1:buf.(base + 2)
         ~arg2:buf.(base + 3);
-    i := base + Event.cell_words
-  done
+      i := base + Event.cell_words
+    end
+  done;
+  !i
+
+let consume_tape t tape =
+  ignore (consume_tape_quota t tape ~from:0 ~quota:max_int : int)

@@ -64,4 +64,18 @@ val consume_tape : t -> Scd_isa.Event.tape -> unit
 (** Account every cell of a flat event tape in order, reading each cell's
     four words straight from the tape buffer (no intermediate record).
     Allocation-free; the caller clears and refills the tape between
-    batches. *)
+    batches. Equivalent to [consume_tape_quota ~from:0 ~quota:max_int]. *)
+
+val consume_tape_quota :
+  t -> Scd_isa.Event.tape -> from:int -> quota:int -> int
+(** [consume_tape_quota t tape ~from ~quota] walks the tape from word
+    [from] and stops right after the [quota]-th retired instruction
+    ([quota >= 1]) or at the end of the tape, whichever comes first, and
+    returns the word index to resume from ({!Scd_isa.Event.tape_extent}
+    when the tape is drained). When the stop falls inside a
+    {!Scd_isa.Event.tag_plain_run} cell, that cell is rewritten in place to
+    its unconsumed tail, so resuming at the returned index continues with
+    the next instruction. The number of instructions retired is the
+    change in [(stats t).instructions]. This is how a context-switch
+    interval lands its JTE flush at an exact instruction boundary.
+    Allocation-free. *)

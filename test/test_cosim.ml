@@ -366,42 +366,91 @@ let test_codec_rejects_bad_payloads () =
 
 (* The driver batches each bytecode's expansion into a flat int tape; the
    [`Boxed] path decodes every cell into an [Event.t] and feeds the old
-   [Pipeline.consume]. The two deliveries must be bit-identical — same
-   cycles, same BTB stats, same engine counters — across schemes, VMs,
-   multi-table and context-switch configurations. *)
+   [Pipeline.consume], one instruction per cell. The two deliveries must be
+   bit-identical — same cycles, same BTB stats, same engine counters —
+   across schemes, VMs, machines, multi-table and context-switch
+   configurations. The intervals are chosen to land flushes inside
+   run-length cells and stamped templates (1 and 7 cut almost every run,
+   97 and 1000 land at scattered offsets), on the single- and dual-issue
+   cores. *)
+let interval_script =
+  {|
+    function fib(n)
+      if n < 2 then return n end
+      return fib(n - 1) + fib(n - 2)
+    end
+    local t = {}
+    for i = 1, 4 do t[i] = fib(8) + i end
+    print(t[1] + t[4])
+  |}
+
+let event_paths_agree ~source ~vm ~scheme ~machine ~cs ~multi =
+  let go event_path =
+    Driver.run ~event_path
+      { Driver.default_config with frontend = Frontend.get vm; scheme;
+        machine; context_switch_interval = cs; multi_table = multi }
+      ~source
+  in
+  Result.equal (go `Flat) (go `Boxed)
+
 let test_event_paths_identical () =
+  let open Scd_uarch in
+  let schemes =
+    Scheme.[ Baseline; Scd; Jump_threading; Vbbi ]
+  in
+  let sim = Config.simulator in
+  let rows =
+    List.map
+      (fun (vm, scheme, cs, multi) -> (small_script, vm, scheme, sim, cs, multi))
+      [ ("lua", Scheme.Baseline, None, false);
+        ("lua", Scheme.Scd, None, false);
+        ("lua", Scheme.Scd, Some 50_000, false);
+        ("js", Scheme.Scd, None, true);
+        ("js", Scheme.Jump_threading, None, false);
+        ("lua", Scheme.Vbbi, None, false) ]
+    @ [ (interval_script, "js", Scheme.Scd, sim, Some 97, true) ]
+    @ List.concat_map
+        (fun vm ->
+          List.concat_map
+            (fun scheme ->
+              List.map
+                (fun (machine, cs) ->
+                  (interval_script, vm, scheme, machine, cs, false))
+                [ (sim, Some 1); (sim, Some 7); (sim, Some 97);
+                  (sim, Some 1_000); (Config.high_end, None);
+                  (Config.high_end, Some 7); (Config.high_end, Some 1_000) ])
+            schemes)
+        [ "lua"; "js" ]
+  in
   List.iter
-    (fun (vm, scheme, cs, multi) ->
-      let go event_path =
-        Driver.run ~event_path
-          { Driver.default_config with frontend = Frontend.get vm; scheme;
-            context_switch_interval = cs; multi_table = multi }
-          ~source:small_script
-      in
+    (fun (source, vm, scheme, (machine : Config.t), cs, multi) ->
       check_bool
-        (Printf.sprintf "%s/%s identical across event paths" vm
-           (Scheme.name scheme))
+        (Printf.sprintf "%s/%s/%s%s%s identical across event paths" vm
+           (Scheme.name scheme) machine.name
+           (match cs with None -> "" | Some n -> Printf.sprintf "/cs%d" n)
+           (if multi then "/multi" else ""))
         true
-        (Result.equal (go `Flat) (go `Boxed)))
-    [ ("lua", Scheme.Baseline, None, false);
-      ("lua", Scheme.Scd, None, false);
-      ("lua", Scheme.Scd, Some 50_000, false);
-      ("js", Scheme.Scd, None, true);
-      ("js", Scheme.Jump_threading, None, false);
-      ("lua", Scheme.Vbbi, None, false) ]
+        (event_paths_agree ~source ~vm ~scheme ~machine ~cs ~multi))
+    rows
 
 let prop_event_paths_agree =
-  QCheck.Test.make
-    ~name:"random programs: flat and boxed event paths bit-identical" ~count:8
-    Gen_program.program (fun source ->
+  let open QCheck in
+  let setting =
+    pair
+      (make ~print:Print.(option int)
+         Gen.(opt ~ratio:0.7 (oneof [ int_range 1 50; int_range 51 5_000 ])))
+      (make
+         ~print:(fun (m : Scd_uarch.Config.t) -> m.name)
+         Gen.(oneofl Scd_uarch.Config.[ simulator; high_end ]))
+  in
+  Test.make
+    ~name:"random programs: flat and boxed event paths bit-identical"
+    ~count:8 (pair Gen_program.program setting)
+    (fun (source, (cs, machine)) ->
       List.for_all
         (fun scheme ->
-          let go event_path =
-            Driver.run ~event_path
-              { Driver.default_config with scheme }
-              ~source
-          in
-          Result.equal (go `Flat) (go `Boxed))
+          event_paths_agree ~source ~vm:"lua" ~scheme ~machine ~cs
+            ~multi:false)
         Scheme.all)
 
 (* Tentpole differential: template stamping must reproduce the push-based
@@ -418,28 +467,38 @@ let collect_tape_words event_path config =
   in
   Array.concat (List.rev !batches)
 
+(* Context-switch rows: both emitters now produce run-length cells under an
+   interval, and the trap sees each batch before the walker splits a run at
+   a flush boundary, so the captured words must still agree. *)
 let test_stamped_tape_words_identical () =
   List.iter
-    (fun (vm, scheme, multi, seed) ->
+    (fun (vm, scheme, multi, cs, seed) ->
       let config =
         { Driver.default_config with frontend = Frontend.get vm; scheme;
-          multi_table = multi; seed = Int64.of_int seed }
+          multi_table = multi; context_switch_interval = cs;
+          seed = Int64.of_int seed }
       in
       check_bool
-        (Printf.sprintf "%s/%s%s stamped tape = pushed tape, word for word" vm
-           (Scheme.name scheme)
-           (if multi then "/multi" else ""))
+        (Printf.sprintf "%s/%s%s%s stamped tape = pushed tape, word for word"
+           vm (Scheme.name scheme)
+           (if multi then "/multi" else "")
+           (match cs with None -> "" | Some n -> Printf.sprintf "/cs%d" n))
         true
         (collect_tape_words `Flat config = collect_tape_words `Flat_push config))
-    [ ("lua", Scheme.Baseline, false, 1);
-      ("lua", Scheme.Jump_threading, false, 2);
-      ("lua", Scheme.Vbbi, false, 3);
-      ("lua", Scheme.Scd, false, 4);
-      ("lua", Scheme.Scd, true, 5);
-      ("js", Scheme.Baseline, false, 6);
-      ("js", Scheme.Jump_threading, false, 7);
-      ("js", Scheme.Scd, false, 8);
-      ("js", Scheme.Scd, true, 9) ]
+    [ ("lua", Scheme.Baseline, false, None, 1);
+      ("lua", Scheme.Jump_threading, false, None, 2);
+      ("lua", Scheme.Vbbi, false, None, 3);
+      ("lua", Scheme.Scd, false, None, 4);
+      ("lua", Scheme.Scd, true, None, 5);
+      ("js", Scheme.Baseline, false, None, 6);
+      ("js", Scheme.Jump_threading, false, None, 7);
+      ("js", Scheme.Scd, false, None, 8);
+      ("js", Scheme.Scd, true, None, 9);
+      ("lua", Scheme.Baseline, false, Some 7, 10);
+      ("lua", Scheme.Scd, false, Some 97, 11);
+      ("lua", Scheme.Jump_threading, false, Some 1_000, 12);
+      ("js", Scheme.Scd, true, Some 7, 13);
+      ("js", Scheme.Vbbi, false, Some 1_000, 14) ]
 
 let prop_stamped_tape_words_agree =
   QCheck.Test.make
@@ -471,20 +530,44 @@ let prop_stamped_tape_words_agree =
    probes allocate nothing at all. Probes are off (the default
    [Probe.null]); the warm-up loop grows the tape to its final capacity and
    fills every predictor structure, after which 10k full steps must leave
-   the minor-allocation counter exactly where it was. *)
-let test_flat_event_delivery_allocation_free () =
+   the minor-allocation counter exactly where it was. Covered on the
+   single- and dual-issue cores, and with a context-switch [interval]
+   drained the way the driver does: a quota walk that splits run cells at
+   the flush boundary and retires the engine there. *)
+let flat_delivery_minor_words (machine : Scd_uarch.Config.t) interval =
   let open Scd_isa.Event in
-  let machine = Scd_uarch.Config.simulator in
   let btb =
     Scd_uarch.Btb.create ~entries:machine.btb_entries ~ways:machine.btb_ways
       ~replacement:machine.btb_replacement ()
   in
-  let engine = Scd_core.Engine.create btb in
+  let engine =
+    Scd_core.Engine.create ?context_switch_interval:interval btb
+  in
   let pipeline =
     Scd_uarch.Pipeline.create ~btb
       ~indirect:(Scheme.indirect_scheme Scheme.Scd) machine
   in
+  let stats = Scd_uarch.Pipeline.stats pipeline in
+  let since = ref 0 in
   let tape = tape_create () in
+  let drain () =
+    match interval with
+    | None -> Scd_uarch.Pipeline.consume_tape pipeline tape
+    | Some n ->
+      let words = tape_extent tape in
+      let i = ref 0 in
+      while !i < words do
+        let before = stats.instructions in
+        i :=
+          Scd_uarch.Pipeline.consume_tape_quota pipeline tape ~from:!i
+            ~quota:(n - !since);
+        since := !since + (stats.instructions - before);
+        if !since >= n then begin
+          since := 0;
+          Scd_core.Engine.retire engine n
+        end
+      done
+  in
   let step i =
     let pc = 0x1000 + ((i land 63) * 4) in
     let opcode = i land 31 in
@@ -500,7 +583,7 @@ let test_flat_event_delivery_allocation_free () =
     tape_push tape ~pc:(pc + 8)
       ~flags:(tag_cond_branch lor if i land 1 = 0 then flag_taken else 0)
       ~arg1:(pc + 64) ~arg2:(-1);
-    Scd_uarch.Pipeline.consume_tape pipeline tape;
+    drain ();
     (* the engine's architectural fast path, at the flush boundary like the
        driver: probe, install a JTE on a miss *)
     if Scd_core.Engine.bop_target engine ~opcode = Scd_core.Engine.no_target
@@ -519,7 +602,7 @@ let test_flat_event_delivery_allocation_free () =
     tape_push tape ~pc:(pc + 28) ~flags:tag_ind_jump
       ~arg1:(0x4000 + (opcode * 8))
       ~arg2:opcode;
-    Scd_uarch.Pipeline.consume_tape pipeline tape
+    drain ()
   in
   for i = 0 to 4_095 do
     step i
@@ -528,9 +611,23 @@ let test_flat_event_delivery_allocation_free () =
   for i = 0 to 9_999 do
     step i
   done;
-  let delta = Gc.minor_words () -. m0 in
-  Alcotest.(check (float 0.0))
-    "10k flat pipeline+engine steps allocate zero minor words" 0.0 delta
+  Gc.minor_words () -. m0
+
+let test_flat_event_delivery_allocation_free () =
+  List.iter
+    (fun ((machine : Scd_uarch.Config.t), interval) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf
+           "10k flat pipeline+engine steps allocate zero minor words (%s%s)"
+           machine.name
+           (match interval with
+            | None -> ""
+            | Some n -> Printf.sprintf ", quota walk at interval %d" n))
+        0.0
+        (flat_delivery_minor_words machine interval))
+    Scd_uarch.Config.
+      [ (simulator, None); (simulator, Some 5); (high_end, None);
+        (high_end, Some 5) ]
 
 (* ------------------------------------------------------------------ *)
 (* Emission-stride regressions (dispatch-PC spacing)                   *)

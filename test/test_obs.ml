@@ -828,7 +828,7 @@ let test_budget_checked_in_table () =
     (fun scheme ->
       let n = "cosim-fib10-" ^ scheme in
       check_bool (n ^ " budgeted") true (Budget.find n <> None))
-    [ "baseline"; "jte"; "vbbi"; "scd" ]
+    [ "baseline"; "jte"; "vbbi"; "scd"; "scd-cs"; "scd-highend" ]
 
 (* ------------------------------------------------------------------ *)
 

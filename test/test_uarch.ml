@@ -606,6 +606,111 @@ let prop_scratch_reuse_leaks_nothing =
       Stats.to_assoc (Pipeline.stats reused_pipe)
       = Stats.to_assoc (Pipeline.stats fresh_pipe))
 
+(* Aggregate run consumption against its reference. One [tag_plain_run]
+   cell must account exactly like the same instructions delivered as one
+   [tag_plain] cell each — consumed whole (the closed form) or split at
+   random retire quotas (the context-switch walk). The run starts from a
+   drawn issue state: a prefix leaves [pair_open] / [group_has_mem] set as
+   asked (on a single-issue core [pair_open] is always false), and a
+   mem/plain suffix after the run exposes the issue state the run left
+   behind through its cycle count. *)
+type run_case = {
+  machine : Config.t;
+  pair_open : bool;
+  group_has_mem : bool;
+  run_pc : int;
+  count : int;
+  stride : int;
+  dispatch : bool;
+  quotas : int list;
+}
+
+let gen_run_case =
+  let open QCheck.Gen in
+  let* machine = oneofl [ Config.simulator; Config.high_end ] in
+  let* pair_open = bool and* group_has_mem = bool and* dispatch = bool in
+  let* run_pc = map (fun i -> 0x1000 + i) (int_bound 4_095) in
+  let* count = oneof [ int_range 1 8; int_range 9 300 ] in
+  let* stride = oneof [ oneofl [ 1; 4; 12 ]; int_range 1 64 ] in
+  let+ quotas = list_size (int_range 1 6) (int_range 1 (count + 2)) in
+  { machine; pair_open; group_has_mem; run_pc; count; stride; dispatch;
+    quotas }
+
+let print_run_case c =
+  Printf.sprintf
+    "%s pair_open=%b group_has_mem=%b pc=%#x count=%d stride=%d \
+     dispatch=%b quotas=[%s]"
+    c.machine.name c.pair_open c.group_has_mem c.run_pc c.count c.stride
+    c.dispatch
+    (String.concat ";" (List.map string_of_int c.quotas))
+
+(* Prefix cells: a mem opens a group with a memory op in it, a plain one
+   without; a following control instruction pairs into that group and
+   then closes it. *)
+let push_prefix tape c =
+  Event.tape_push tape ~pc:0x400
+    ~flags:(if c.group_has_mem then Event.tag_mem_read else Event.tag_plain)
+    ~arg1:0x8000 ~arg2:(-1);
+  if not c.pair_open then
+    Event.tape_push tape ~pc:0x404 ~flags:Event.tag_jump ~arg1:0x1000
+      ~arg2:(-1)
+
+let push_suffix tape =
+  List.iteri
+    (fun k tag ->
+      Event.tape_push tape ~pc:(0x3000 + (4 * k)) ~flags:tag
+        ~arg1:(0x9000 + (64 * k)) ~arg2:(-1))
+    Event.[ tag_mem_read; tag_mem_write; tag_plain; tag_mem_read; tag_plain;
+            tag_plain; tag_mem_write ]
+
+let run_tape c ~as_run =
+  let tape = Event.tape_create () in
+  push_prefix tape c;
+  (if as_run then
+     Event.tape_push_run tape ~pc:c.run_pc ~dispatch:c.dispatch ~count:c.count
+       ~stride:c.stride
+   else
+     for k = 0 to c.count - 1 do
+       Event.tape_push tape ~pc:(c.run_pc + (k * c.stride))
+         ~flags:
+           (Event.tag_plain lor if c.dispatch then Event.flag_dispatch else 0)
+         ~arg1:0 ~arg2:(-1)
+     done);
+  push_suffix tape;
+  tape
+
+let prop_plain_run_matches_per_instruction =
+  QCheck.Test.make
+    ~name:"plain runs, whole and quota-split, match per-instruction cells"
+    ~count:300 (QCheck.make ~print:print_run_case gen_run_case) (fun c ->
+      let stats_of p = Stats.to_assoc (Pipeline.stats p) in
+      let reference = Pipeline.create c.machine in
+      Pipeline.consume_tape reference (run_tape c ~as_run:false);
+      let whole = Pipeline.create c.machine in
+      Pipeline.consume_tape whole (run_tape c ~as_run:true);
+      (* quota walk: cycle through the drawn quotas until the tape drains;
+         every stop short of the end lands exactly on its quota *)
+      let split = Pipeline.create c.machine in
+      let tape = run_tape c ~as_run:true in
+      let words = Event.tape_extent tape in
+      let exact = ref true in
+      let rec walk from = function
+        | [] -> walk from c.quotas
+        | quota :: rest ->
+          let before = (Pipeline.stats split).instructions in
+          let next = Pipeline.consume_tape_quota split tape ~from ~quota in
+          let retired = (Pipeline.stats split).instructions - before in
+          if next < words then begin
+            if retired <> quota then exact := false;
+            walk next rest
+          end
+          else if retired > quota then exact := false
+      in
+      walk 0 c.quotas;
+      !exact
+      && stats_of whole = stats_of reference
+      && stats_of split = stats_of reference)
+
 (* ------------------------------------------------------------------ *)
 (* Config                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -691,6 +796,7 @@ let () =
           Alcotest.test_case "icache per block" `Quick test_pipeline_icache_per_block;
           Alcotest.test_case "dispatch attribution" `Quick test_pipeline_dispatch_attribution;
           QCheck_alcotest.to_alcotest prop_scratch_reuse_leaks_nothing;
+          QCheck_alcotest.to_alcotest prop_plain_run_matches_per_instruction;
         ] );
       ( "config",
         [
