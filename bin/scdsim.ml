@@ -752,24 +752,46 @@ let exp_cmd =
               (Printf.sprintf "unknown experiment %S; try: %s" id
                  (String.concat ", " Scd_experiments.Registry.ids))
       in
-      match selected with
+      (* mkdir -p each directory operand before any cell runs *)
+      let ensure_dir opt = function
+        | None -> Ok ()
+        | Some dir -> (
+          match Scd_experiments.Store.mkdir_p dir with
+          | () -> Ok ()
+          | exception (Invalid_argument m | Sys_error m) ->
+            Error (Printf.sprintf "%s: %s" opt m))
+      in
+      let checked =
+        let ( let* ) = Result.bind in
+        let* experiments = selected in
+        let* () = ensure_dir "--sample" sample in
+        let* () = ensure_dir "--cache" cache in
+        Ok experiments
+      in
+      match checked with
       | Error m -> `Error (false, m)
       | Ok experiments ->
-        (match sample with
-         | None -> ()
-         | Some dir ->
-           if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-           Scd_experiments.Sweep.set_sample_dir ~interval:sample_interval
-             (Some dir));
-        (match cache with
-         | None -> ()
-         | Some dir ->
-           Scd_experiments.Sweep.set_store
-             (Some (Scd_experiments.Store.create dir)));
+        Scd_experiments.Sweep.set_sample_dir ~interval:sample_interval sample;
+        let store = Option.map Scd_experiments.Store.create cache in
+        Scd_experiments.Sweep.set_store store;
+        let runs0 = Scd_cosim.Driver.runs ()
+        and memory0 = Scd_experiments.Sweep.memory_hits ()
+        and t0 = Unix.gettimeofday () in
         Scd_util.Pool.with_pool ~jobs (fun pool ->
             List.iter
               (fun (r : Scd_experiments.Runner.rendered) -> print_string r.body)
               (Scd_experiments.Runner.run_all ~pool ~quick ~csv experiments));
+        let computed = Scd_cosim.Driver.runs () - runs0
+        and seconds = Unix.gettimeofday () -. t0 in
+        flush stdout;
+        Printf.eprintf
+          "scdsim exp: %d cells computed, %d lookups from memory, %d from \
+           disk, %.2f s, %.1f cells/s\n%!"
+          computed
+          (Scd_experiments.Sweep.memory_hits () - memory0)
+          (Option.fold ~none:0 ~some:Scd_experiments.Store.hits store)
+          seconds
+          (float_of_int computed /. Float.max seconds 1e-9);
         Scd_experiments.Sweep.set_store None;
         (match sample with
          | None -> ()

@@ -27,16 +27,19 @@ let lua_config scheme = { Driver.default_config with scheme }
 
 let run_multi_table ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         [ Sweep.cell ~scale "js" Scd_core.Scheme.Baseline w;
-           Sweep.cell ~scale "js" Scd_core.Scheme.Scd w;
-           Sweep.cell_custom ~tag:"multi-js"
-             { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js";
-               multi_table = true }
-             w scale ])
-       Sweep.workloads);
+  let rows =
+    List.map
+      (fun w ->
+        ( w,
+          Sweep.cell ~scale "js" Scd_core.Scheme.Baseline w,
+          Sweep.cell ~scale "js" Scd_core.Scheme.Scd w,
+          Sweep.cell_custom ~tag:"multi-js"
+            { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js";
+              multi_table = true }
+            w scale ))
+      Sweep.workloads
+  in
+  Sweep.prefetch (List.concat_map (fun (_, b, s, m) -> [ b; s; m ]) rows);
   let table =
     Table.make
       ~title:"Ablation: Section IV multi-table SCD, JavaScript interpreter"
@@ -46,14 +49,8 @@ let run_multi_table ~quick =
   in
   let single_r = ref [] and multi_r = ref [] in
   List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~scale "js" Scd_core.Scheme.Baseline w in
-      let single = Sweep.run ~scale "js" Scd_core.Scheme.Scd w in
-      let multi =
-        Sweep.run_custom ~tag:"multi-js"
-          { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js"; multi_table = true }
-          w scale
-      in
+    (fun ((w : Scd_workloads.Workload.t), b, s, m) ->
+      let baseline = Sweep.get b and single = Sweep.get s and multi = Sweep.get m in
       single_r := Sweep.speedup_ratio ~baseline single :: !single_r;
       multi_r := Sweep.speedup_ratio ~baseline multi :: !multi_r;
       Table.add_row table
@@ -62,7 +59,7 @@ let run_multi_table ~quick =
           Table.cell_percent (Sweep.speedup ~baseline multi);
           Printf.sprintf "%.3f" (Stats.bop_hit_rate single.stats);
           Printf.sprintf "%.3f" (Stats.bop_hit_rate multi.stats) ])
-    Sweep.workloads;
+    rows;
   Table.add_separator table;
   Table.add_row table
     [ "GEOMEAN";
@@ -86,39 +83,8 @@ let multi_table_experiment =
 let run_bop_policy ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Small in
   let gaps = [ 3; 5; 7; 9 ] in
-  Sweep.prefetch
-    (List.concat_map
-       (fun gap ->
-         List.concat_map
-           (fun policy ->
-             let machine =
-               { Config.simulator with rop_gap = gap; bop_policy = policy }
-             in
-             let tag =
-               Printf.sprintf "bop-%d-%s" gap
-                 (match policy with `Stall -> "stall" | `Fall_through -> "fall")
-             in
-             List.concat_map
-               (fun w ->
-                 [ Sweep.cell ~machine:{ machine with bop_policy = `Stall }
-                     ~scale "lua" Scd_core.Scheme.Baseline w;
-                   Sweep.cell_custom ~tag
-                     { (lua_config Scd_core.Scheme.Scd) with machine }
-                     w scale ])
-               Sweep.workloads)
-           [ `Stall; `Fall_through ])
-       gaps);
-  let table =
-    Table.make
-      ~title:
-        "Ablation: Rop-not-ready policy (Section III-B), Lua geomean SCD speedup"
-      ~headers:
-        ("rop gap (cycles to Rop)"
-        :: List.concat_map
-             (fun g -> [ Printf.sprintf "stall@%d" g; Printf.sprintf "fall@%d" g ])
-             gaps)
-  in
-  let cells =
+  (* for each (gap, policy): one (baseline, scd) cell pair per workload *)
+  let points =
     List.concat_map
       (fun gap ->
         List.map
@@ -130,24 +96,38 @@ let run_bop_policy ~quick =
               Printf.sprintf "bop-%d-%s" gap
                 (match policy with `Stall -> "stall" | `Fall_through -> "fall")
             in
-            let ratios =
-              List.map
-                (fun w ->
-                  let baseline =
-                    Sweep.run ~machine:{ machine with bop_policy = `Stall }
-                      ~scale "lua" Scd_core.Scheme.Baseline w
-                  in
-                  let scd =
-                    Sweep.run_custom ~tag
-                      { (lua_config Scd_core.Scheme.Scd) with machine }
-                      w scale
-                  in
-                  Sweep.speedup_ratio ~baseline scd)
-                Sweep.workloads
-            in
-            Table.cell_percent (Sweep.geomean_speedup_percent ratios))
+            List.map
+              (fun w ->
+                ( Sweep.cell ~machine:{ machine with bop_policy = `Stall }
+                    ~scale "lua" Scd_core.Scheme.Baseline w,
+                  Sweep.cell_custom ~tag
+                    { (lua_config Scd_core.Scheme.Scd) with machine }
+                    w scale ))
+              Sweep.workloads)
           [ `Stall; `Fall_through ])
       gaps
+  in
+  Sweep.prefetch
+    (List.concat_map (List.concat_map (fun (b, s) -> [ b; s ])) points);
+  let table =
+    Table.make
+      ~title:
+        "Ablation: Rop-not-ready policy (Section III-B), Lua geomean SCD speedup"
+      ~headers:
+        ("rop gap (cycles to Rop)"
+        :: List.concat_map
+             (fun g -> [ Printf.sprintf "stall@%d" g; Printf.sprintf "fall@%d" g ])
+             gaps)
+  in
+  let cells =
+    List.map
+      (fun pairs ->
+        Table.cell_percent
+          (Sweep.geomean_speedup_percent
+             (List.map
+                (fun (b, s) -> Sweep.speedup_ratio ~baseline:(Sweep.get b) (Sweep.get s))
+                pairs)))
+      points
   in
   Table.add_row table ("geomean speedup" :: cells);
   [ table ]
@@ -171,53 +151,47 @@ let run_context_switch ~quick =
     | None -> "never"
     | Some n -> Printf.sprintf "%dk" (n / 1000)
   in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun interval ->
-                Sweep.cell_custom ~tag:("cs-" ^ name interval)
-                  { (lua_config Scd_core.Scheme.Scd) with
-                    context_switch_interval = interval }
-                  w scale)
-              intervals)
-       Sweep.workloads);
+  let rows =
+    List.map
+      (fun w ->
+        ( w,
+          Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w,
+          List.map
+            (fun interval ->
+              Sweep.cell_custom ~tag:("cs-" ^ name interval)
+                { (lua_config Scd_core.Scheme.Scd) with
+                  context_switch_interval = interval }
+                w scale)
+            intervals ))
+      Sweep.workloads
+  in
+  Sweep.prefetch (List.concat_map (fun (_, b, cs) -> b :: cs) rows);
   let table =
     Table.make
       ~title:
         "Ablation: JTE flush on context switch (Section IV), Lua SCD speedup"
       ~headers:("benchmark" :: List.map (fun i -> "flush@" ^ name i) intervals)
   in
-  let ratio_acc = List.map (fun i -> (name i, ref [])) intervals in
+  let accs = List.map (fun _ -> ref []) intervals in
   List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w in
+    (fun ((w : Scd_workloads.Workload.t), b, cs) ->
+      let baseline = Sweep.get b in
       let cells =
-        List.map
-          (fun interval ->
-            let r =
-              Sweep.run_custom ~tag:("cs-" ^ name interval)
-                { (lua_config Scd_core.Scheme.Scd) with
-                  context_switch_interval = interval }
-                w scale
-            in
-            (match List.assoc_opt (name interval) ratio_acc with
-             | Some acc -> acc := Sweep.speedup_ratio ~baseline r :: !acc
-             | None -> ());
+        List.map2
+          (fun acc c ->
+            let r = Sweep.get c in
+            acc := Sweep.speedup_ratio ~baseline r :: !acc;
             Table.cell_percent (Sweep.speedup ~baseline r))
-          intervals
+          accs cs
       in
       Table.add_row table (w.name :: cells))
-    Sweep.workloads;
+    rows;
   Table.add_separator table;
   Table.add_row table
     ("GEOMEAN"
     :: List.map
-         (fun i ->
-           Table.cell_percent
-             (Sweep.geomean_speedup_percent !(List.assoc (name i) ratio_acc)))
-         intervals);
+         (fun acc -> Table.cell_percent (Sweep.geomean_speedup_percent !acc))
+         accs);
   [ table ]
 
 let context_switch_experiment =
@@ -243,20 +217,25 @@ let run_indirect ~quick =
       ("vbbi", Scd_core.Scheme.Vbbi, None);
       ("scd", Scd_core.Scheme.Scd, None) ]
   in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun (label, scheme, indirect_override) ->
-                match indirect_override with
-                | None -> Sweep.cell ~scale "lua" scheme w
-                | Some _ ->
-                  Sweep.cell_custom ~tag:("ind-" ^ label)
-                    { (lua_config scheme) with indirect_override }
-                    w scale)
-              contenders)
-       Sweep.workloads);
+  let baselines =
+    List.map (Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline) Sweep.workloads
+  in
+  let columns =
+    List.map
+      (fun (label, scheme, indirect_override) ->
+        ( label,
+          List.map
+            (fun w ->
+              match indirect_override with
+              | None -> Sweep.cell ~scale "lua" scheme w
+              | Some _ ->
+                Sweep.cell_custom ~tag:("ind-" ^ label)
+                  { (lua_config scheme) with indirect_override }
+                  w scale)
+            Sweep.workloads ))
+      contenders
+  in
+  Sweep.prefetch (baselines @ List.concat_map snd columns);
   let table =
     Table.make
       ~title:
@@ -264,37 +243,26 @@ let run_indirect ~quick =
       ~headers:[ "technique"; "geomean speedup"; "mean branch MPKI";
                  "mean instr ratio" ]
   in
-  let baselines =
-    List.map
-      (fun w -> (w, Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w))
-      Sweep.workloads
-  in
+  let baselines = List.map Sweep.get baselines in
   List.iter
-    (fun (label, scheme, indirect_override) ->
+    (fun (label, cells) ->
       let ratios, mpkis, instr_ratios =
-        List.fold_left
-          (fun (rs, ms, is) ((w : Scd_workloads.Workload.t), baseline) ->
-            let r =
-              match indirect_override with
-              | None -> Sweep.run ~scale "lua" scheme w
-              | Some _ ->
-                Sweep.run_custom ~tag:("ind-" ^ label)
-                  { (lua_config scheme) with indirect_override }
-                  w scale
-            in
+        List.fold_left2
+          (fun (rs, ms, is) baseline c ->
+            let r = Sweep.get c in
             ( Sweep.speedup_ratio ~baseline r :: rs,
               Stats.branch_mpki r.stats :: ms,
               (float_of_int (Driver.instructions r)
                /. float_of_int (Driver.instructions baseline))
               :: is ))
-          ([], [], []) baselines
+          ([], [], []) baselines cells
       in
       Table.add_row table
         [ label;
           Table.cell_percent (Sweep.geomean_speedup_percent ratios);
           Table.cell_float (Summary.mean mpkis);
           Printf.sprintf "%.3f" (Summary.geomean instr_ratios) ])
-    contenders;
+    columns;
   [ table ]
 
 let indirect_experiment =
@@ -314,18 +282,22 @@ let run_cap_search ~quick =
   let caps = [ Some 4; Some 8; Some 12; Some 16; Some 24; Some 32; None ] in
   let cap_name = function None -> "inf" | Some c -> string_of_int c in
   let small = Config.with_btb_entries Config.simulator 64 in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun cap ->
+  let rows =
+    List.map
+      (fun w ->
+        ( w,
+          Sweep.cell ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w,
+          List.map
+            (fun cap ->
+              ( cap,
                 Sweep.cell_custom ~tag:("capsearch-" ^ cap_name cap)
                   { (lua_config Scd_core.Scheme.Scd) with
                     machine = Config.with_jte_cap small cap }
-                  w scale)
-              caps)
-       Sweep.workloads);
+                  w scale ))
+            caps ))
+      Sweep.workloads
+  in
+  Sweep.prefetch (List.concat_map (fun (_, b, cs) -> b :: List.map snd cs) rows);
   let table =
     Table.make
       ~title:
@@ -334,19 +306,10 @@ let run_cap_search ~quick =
                  "speedup uncapped"; "gain from capping" ]
   in
   List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w in
+    (fun ((w : Scd_workloads.Workload.t), b, cs) ->
+      let baseline = Sweep.get b in
       let runs =
-        List.map
-          (fun cap ->
-            let machine = Config.with_jte_cap small cap in
-            let r =
-              Sweep.run_custom ~tag:("capsearch-" ^ cap_name cap)
-                { (lua_config Scd_core.Scheme.Scd) with machine }
-                w scale
-            in
-            (cap, Sweep.speedup ~baseline r))
-          caps
+        List.map (fun (cap, c) -> (cap, Sweep.speedup ~baseline (Sweep.get c))) cs
       in
       let best_cap, best = List.fold_left
           (fun (bc, bs) (c, s) -> if s > bs then (c, s) else (bc, bs))
@@ -356,7 +319,7 @@ let run_cap_search ~quick =
       Table.add_row table
         [ w.name; cap_name best_cap; Table.cell_percent best;
           Table.cell_percent uncapped; Table.cell_percent (best -. uncapped) ])
-    Sweep.workloads;
+    rows;
   [ table ]
 
 let cap_search_experiment =
@@ -373,19 +336,21 @@ let cap_search_experiment =
 
 let run_superinstructions ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w;
-           Sweep.cell_custom ~tag:"super-base"
-             { (lua_config Scd_core.Scheme.Baseline) with
-               superinstructions = true }
-             w scale;
-           Sweep.cell ~scale "lua" Scd_core.Scheme.Scd w;
-           Sweep.cell_custom ~tag:"super-scd"
-             { (lua_config Scd_core.Scheme.Scd) with superinstructions = true }
-             w scale ])
-       Sweep.workloads);
+  let super tag scheme w =
+    Sweep.cell_custom ~tag { (lua_config scheme) with superinstructions = true }
+      w scale
+  in
+  let rows =
+    List.map
+      (fun w ->
+        ( w,
+          Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w,
+          super "super-base" Scd_core.Scheme.Baseline w,
+          Sweep.cell ~scale "lua" Scd_core.Scheme.Scd w,
+          super "super-scd" Scd_core.Scheme.Scd w ))
+      Sweep.workloads
+  in
+  Sweep.prefetch (List.concat_map (fun (_, b, su, s, bo) -> [ b; su; s; bo ]) rows);
   let table =
     Table.make
       ~title:
@@ -396,19 +361,9 @@ let run_superinstructions ~quick =
   in
   let super_r = ref [] and scd_r = ref [] and both_r = ref [] in
   List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w in
-      let super =
-        Sweep.run_custom ~tag:"super-base"
-          { (lua_config Scd_core.Scheme.Baseline) with superinstructions = true }
-          w scale
-      in
-      let scd = Sweep.run ~scale "lua" Scd_core.Scheme.Scd w in
-      let both =
-        Sweep.run_custom ~tag:"super-scd"
-          { (lua_config Scd_core.Scheme.Scd) with superinstructions = true }
-          w scale
-      in
+    (fun ((w : Scd_workloads.Workload.t), b, su, s, bo) ->
+      let baseline = Sweep.get b and super = Sweep.get su in
+      let scd = Sweep.get s and both = Sweep.get bo in
       super_r := Sweep.speedup_ratio ~baseline super :: !super_r;
       scd_r := Sweep.speedup_ratio ~baseline scd :: !scd_r;
       both_r := Sweep.speedup_ratio ~baseline both :: !both_r;
@@ -419,7 +374,7 @@ let run_superinstructions ~quick =
           Table.cell_percent (Sweep.speedup ~baseline both);
           Printf.sprintf "%.3f"
             (float_of_int super.bytecodes /. float_of_int baseline.bytecodes) ])
-    Sweep.workloads;
+    rows;
   Table.add_separator table;
   Table.add_row table
     [ "GEOMEAN";
@@ -449,69 +404,60 @@ let run_replication ~quick =
       ("scd", Scd_core.Scheme.Scd, false);
       ("scd+repl", Scd_core.Scheme.Scd, true) ]
   in
-  Sweep.prefetch
-    (List.concat_map
-       (fun (_, btb) ->
-         let machine = Config.with_btb_entries Config.simulator btb in
-         List.concat_map
-           (fun (w : Scd_workloads.Workload.t) ->
-             Sweep.cell ~machine ~scale "lua" Scd_core.Scheme.Baseline w
-             :: List.map
+  let btbs =
+    List.map
+      (fun (label, btb) ->
+        let machine = Config.with_btb_entries Config.simulator btb in
+        ( label,
+          List.map
+            (fun (w : Scd_workloads.Workload.t) ->
+              ( w,
+                Sweep.cell ~machine ~scale "lua" Scd_core.Scheme.Baseline w,
+                List.map
                   (fun (n, scheme, repl) ->
                     Sweep.cell_custom ~tag:(Printf.sprintf "repl-%s-%d" n btb)
                       { (lua_config scheme) with machine;
                         bytecode_replication = repl }
                       w scale)
-                  variants)
-           Sweep.workloads)
-       [ ("256-entry BTB", 256); ("64-entry BTB", 64) ]);
-  let tables =
-    List.map
-      (fun (label, btb) ->
-        let machine = Config.with_btb_entries Config.simulator btb in
-        let table =
-          Table.make
-            ~title:
-              (Printf.sprintf
-                 "Ablation: bytecode replication under JT and SCD, Lua, %s" label)
-            ~headers:
-              ("benchmark" :: List.map (fun (n, _, _) -> n) variants)
-        in
-        let acc = List.map (fun (n, _, _) -> (n, ref [])) variants in
-        List.iter
-          (fun (w : Scd_workloads.Workload.t) ->
-            let baseline =
-              Sweep.run ~machine ~scale "lua" Scd_core.Scheme.Baseline w
-            in
-            let cells =
-              List.map
-                (fun (n, scheme, repl) ->
-                  let r =
-                    Sweep.run_custom ~tag:(Printf.sprintf "repl-%s-%d" n btb)
-                      { (lua_config scheme) with machine;
-                        bytecode_replication = repl }
-                      w scale
-                  in
-                  (match List.assoc_opt n acc with
-                   | Some l -> l := Sweep.speedup_ratio ~baseline r :: !l
-                   | None -> ());
-                  Table.cell_percent (Sweep.speedup ~baseline r))
-                variants
-            in
-            Table.add_row table (w.name :: cells))
-          Sweep.workloads;
-        Table.add_separator table;
-        Table.add_row table
-          ("GEOMEAN"
-          :: List.map
-               (fun (n, _, _) ->
-                 Table.cell_percent
-                   (Sweep.geomean_speedup_percent !(List.assoc n acc)))
-               variants);
-        table)
+                  variants ))
+            Sweep.workloads ))
       [ ("256-entry BTB", 256); ("64-entry BTB", 64) ]
   in
-  tables
+  Sweep.prefetch
+    (List.concat_map
+       (fun (_, rows) -> List.concat_map (fun (_, b, vs) -> b :: vs) rows)
+       btbs);
+  List.map
+    (fun (label, rows) ->
+      let table =
+        Table.make
+          ~title:
+            (Printf.sprintf
+               "Ablation: bytecode replication under JT and SCD, Lua, %s" label)
+          ~headers:("benchmark" :: List.map (fun (n, _, _) -> n) variants)
+      in
+      let accs = List.map (fun _ -> ref []) variants in
+      List.iter
+        (fun ((w : Scd_workloads.Workload.t), b, vs) ->
+          let baseline = Sweep.get b in
+          let cells =
+            List.map2
+              (fun acc c ->
+                let r = Sweep.get c in
+                acc := Sweep.speedup_ratio ~baseline r :: !acc;
+                Table.cell_percent (Sweep.speedup ~baseline r))
+              accs vs
+          in
+          Table.add_row table (w.name :: cells))
+        rows;
+      Table.add_separator table;
+      Table.add_row table
+        ("GEOMEAN"
+        :: List.map
+             (fun acc -> Table.cell_percent (Sweep.geomean_speedup_percent !acc))
+             accs);
+      table)
+    btbs
 
 let replication_experiment =
   {

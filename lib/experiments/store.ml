@@ -61,7 +61,7 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.is_directory dir -> ()
   end
   else if not (Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Store.create: %s exists and is not a directory" dir)
+    invalid_arg (Printf.sprintf "%s is not a directory" dir)
 
 let create dir =
   mkdir_p dir;
@@ -144,16 +144,18 @@ let load t ~key =
         t.corrupt <- t.corrupt + 1);
   match decoded with `Hit r -> Some r | `Miss | `Corrupt -> None
 
-(* Concurrent writers (pool domains, parallel processes) compute the same
-   deterministic payload for a given key, so the worst race is writing
-   identical bytes; the tmp-file + rename keeps readers from ever seeing a
-   partial file. *)
+(* Within a process, {!Sweep}'s single-flight lookups save each key once,
+   so concurrent writers of one key can only be separate processes. They
+   compute the same deterministic payload, so the worst race is writing
+   identical bytes; the pid in the tmp name keeps their tmp files apart,
+   and the tmp-file + rename keeps readers from ever seeing a partial
+   file. *)
 let tmp_counter = Atomic.make 0
 
 let save t ~key result =
   let path = path t key in
   let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path
+    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
       (Domain.self () :> int)
       (Atomic.fetch_and_add tmp_counter 1)
   in

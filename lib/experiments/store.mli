@@ -17,10 +17,12 @@
     the writer.
 
     Writes go through a temp file and an atomic rename, so concurrent pool
-    domains or parallel [scdsim] processes never expose a partial file; each
-    cell is a deterministic function of its key, so racing writers produce
-    identical bytes. Hit/miss/store/corrupt counters feed [bench --json]
-    and [scdsim cache stats]. *)
+    domains or parallel [scdsim] processes never expose a partial file.
+    Within a process {!Sweep} computes and saves each key once; parallel
+    processes may race on one key, but each cell is a deterministic
+    function of its key, so racing writers produce identical bytes.
+    Hit/miss/store/corrupt counters feed [bench --json] and
+    [scdsim cache stats]. *)
 
 type t
 
@@ -35,9 +37,14 @@ val format_version : int
     them. *)
 
 val create : string -> t
-(** Open (creating directories as needed) a store rooted at the given
-    directory. Raises [Invalid_argument] if the path exists and is not a
-    directory. *)
+(** Open (creating directories as needed, see {!mkdir_p}) a store rooted
+    at the given directory. Raises [Invalid_argument] if the path, or one
+    of its parents, exists and is not a directory. *)
+
+val mkdir_p : string -> unit
+(** [mkdir -p]: create a directory and any missing parents. Raises
+    [Invalid_argument "<path> is not a directory"] naming the first path
+    component that exists and is not a directory. *)
 
 val dir : t -> string
 

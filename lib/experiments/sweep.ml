@@ -3,26 +3,40 @@
     Figures 7-10 all read different statistics from the *same* runs, and the
     sensitivity studies reuse baselines across sweep points, so results are
     memoised per (frontend, scheme, machine, workload, scale) within a
-    process — and, when a {!Store} is attached, across processes: lookups go
-    memory, then disk, then compute, and every computed cell is persisted,
-    so a warm process recomputes nothing.
+    process — and, when a {!Store} is attached, across processes: every
+    computed cell is persisted, so a warm process recomputes nothing.
 
-    The in-memory table is guarded by a mutex so that pool domains (see
-    {!Scd_util.Pool}) can share it. Every cached value is a deterministic
-    function of its key, so two domains racing to compute the same key
-    merely duplicate work; whichever insert lands last wins with an
-    identical value. Experiments call {!prefetch} with their full
-    workload-by-configuration cell list before building tables: the cells
-    are computed concurrently on the pool, and the sequential
-    table-rendering code then reads them back from the cache in its
-    original order — rendered tables are byte-identical to a sequential
-    run at any [--jobs]. *)
+    Every lookup is single-flight. Under [cache_mutex] each key is cached,
+    in flight (claimed by exactly one domain, which is computing it) or
+    absent, and {!get} goes memory, then disk, then in flight (wait for the
+    claimer), then claim and compute. So within a process each key is
+    co-simulated at most once, however many figures and pool domains ask
+    for it at once. A compute that raises drops its claim without caching
+    anything; a waiter then claims the key and computes it itself.
+
+    Experiments call {!prefetch} with their full workload-by-configuration
+    cell list before building tables: the cells are computed concurrently
+    on the pool (skipping any key that is cached or in flight by the time
+    its task runs), and the sequential table-rendering code then reads them
+    back in its original order — rendered tables are byte-identical to a
+    sequential run at any [--jobs]. *)
 
 open Scd_cosim
 open Scd_uarch
 
 let cache : (string, Driver.result) Hashtbl.t = Hashtbl.create 64
 let cache_mutex = Mutex.create ()
+
+(* Keys claimed by a computing domain; guarded by [cache_mutex]. *)
+let in_flight : (string, unit) Hashtbl.t = Hashtbl.create 16
+
+(* Broadcast whenever a claim is dropped, with or without a result. *)
+let claim_dropped = Condition.create ()
+
+let memory_hit_count = Atomic.make 0
+
+(** Lookups this process has served from the in-memory table. *)
+let memory_hits () = Atomic.get memory_hit_count
 
 (* ------------------------------------------------------------------ *)
 (* Persistent layer                                                    *)
@@ -50,6 +64,7 @@ let find_cached key =
   let lf = Scd_obs.Prof.leaf_begin () in
   match find_memory key with
   | Some _ as hit ->
+    Atomic.incr memory_hit_count;
     Scd_obs.Prof.leaf_end lf "sweep-hit-memory";
     hit
   | None -> (
@@ -62,10 +77,6 @@ let find_cached key =
         Scd_obs.Prof.leaf_end lf "sweep-hit-disk";
         Some r
       | None -> None))
-
-let insert key r =
-  insert_memory key r;
-  match !store with None -> () | Some s -> Store.save s ~key r
 
 let clear () = Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
 
@@ -86,8 +97,7 @@ let sample_interval = ref 10_000
 
 (** When set, every co-simulated cell runs with a {!Driver.Telemetry}
     attached and dumps its interval time series as [DIR/<cell-key>.csv].
-    Pool domains write distinct files (distinct keys); two domains racing on
-    the same key write identical bytes. *)
+    Pool domains write distinct files: each key is computed once. *)
 let set_sample_dir ?(interval = 10_000) dir =
   if interval <= 0 then invalid_arg "Sweep.set_sample_dir: interval must be positive";
   sample_dir := dir;
@@ -98,10 +108,10 @@ let set_sample_dir ?(interval = 10_000) dir =
 let sanitize_key = Store.mangle
 
 (* Every cell computation funnels through here so that --sample covers the
-   standard sweeps, the custom-config runs and the cache-miss fallbacks
-   alike. The sweep-compute span wraps the whole cell (driver phases nest
-   under it); its calls count against the hit leaves above for the cache
-   hit rate, and its latency histogram is the cell-latency distribution. *)
+   standard sweeps and the custom-config runs alike. The sweep-compute span
+   wraps the whole cell (driver phases nest under it); its calls count
+   against the hit leaves above for the cache hit rate, and its latency
+   histogram is the cell-latency distribution. *)
 let run_driver ~key (config : Driver.run_config) ~source =
   Scd_obs.Prof.span "sweep-compute" @@ fun () ->
   match !sample_dir with
@@ -131,39 +141,95 @@ let custom_key ~tag (w : Scd_workloads.Workload.t) scale =
 
 (** One (workload, configuration) point of a sweep: a cache key plus the
     closure that computes it. Construction is cheap; nothing runs until
-    {!prefetch} (pool fan-out) or a cache miss in {!run}/{!run_custom}.
+    {!prefetch} (pool fan-out) or a cache miss in {!get}.
     [frontend] is a registry name ("lua", "js", ...) so sweeps are
     data-driven over whatever frontends are registered. *)
 type cell = { key : string; compute : unit -> Driver.result }
 
-let compute_std ~machine ~scale frontend scheme (w : Scd_workloads.Workload.t)
-    () =
-  run_driver
-    ~key:(std_key ~machine ~scale frontend scheme w)
-    { Driver.default_config with frontend = Frontend.get frontend;
-      scheme; machine }
-    ~source:(Scd_workloads.Workload.source w scale)
-
 let cell ?(machine = Config.simulator) ?(scale = Scd_workloads.Workload.Sim)
     frontend scheme w =
-  { key = std_key ~machine ~scale frontend scheme w;
-    compute = compute_std ~machine ~scale frontend scheme w }
-
-let cell_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
-    scale =
-  { key = custom_key ~tag w scale;
+  let key = std_key ~machine ~scale frontend scheme w in
+  { key;
     compute =
       (fun () ->
-        run_driver ~key:(custom_key ~tag w scale) config
-          ~source:(Scd_workloads.Workload.source w scale));
-  }
+        run_driver ~key
+          { Driver.default_config with frontend = Frontend.get frontend;
+            scheme; machine }
+          ~source:(Scd_workloads.Workload.source w scale)) }
+
+(** A run with non-default driver knobs (multi-table, indirect override,
+    custom machine tweaks), cached under an explicit tag: the key does not
+    see [config], so build each tagged cell once and read it back with
+    {!get}. *)
+let cell_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
+    scale =
+  let key = custom_key ~tag w scale in
+  { key;
+    compute =
+      (fun () ->
+        run_driver ~key config ~source:(Scd_workloads.Workload.source w scale)) }
+
+(* ------------------------------------------------------------------ *)
+(* Single-flight lookups                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [true] when the caller now holds [key]'s claim and must compute it;
+   [false] when [key] is in memory or another domain holds the claim. With
+   [wait], a held claim is first waited out, so the caller's next lookup
+   finds the result — or, if the claimer raised, finds the key free. *)
+let claim ~wait key =
+  Mutex.protect cache_mutex @@ fun () ->
+  if Hashtbl.mem cache key then false
+  else if Hashtbl.mem in_flight key then begin
+    if wait then
+      while Hashtbl.mem in_flight key do
+        Condition.wait claim_dropped cache_mutex
+      done;
+    false
+  end
+  else begin
+    Hashtbl.replace in_flight key ();
+    true
+  end
+
+(* Runs a claimed cell outside the mutex, persists and caches the result,
+   then drops the claim — also when [compute] raises, caching nothing.
+   Waiting is deadlock-free because a claim is held only around
+   [compute], i.e. [run_driver], and [Driver.run] never re-enters [Sweep]
+   or [Scd_util.Pool]: a claimer waits on no one, so every waiter's
+   claimer finishes. *)
+let compute_claimed c =
+  let result = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect cache_mutex (fun () ->
+          Option.iter (Hashtbl.replace cache c.key) !result;
+          Hashtbl.remove in_flight c.key;
+          Condition.broadcast claim_dropped))
+    (fun () ->
+      let r = c.compute () in
+      Option.iter (fun s -> Store.save s ~key:c.key r) !store;
+      result := Some r;
+      r)
+
+(** The cell's result: from memory, else from the store, else from the
+    domain already computing it (blocking until it lands), else computed
+    here. *)
+let rec get c =
+  match find_cached c.key with
+  | Some r -> r
+  | None -> if claim ~wait:true c.key then compute_claimed c else get c
+
+let run ?machine ?scale frontend scheme w =
+  get (cell ?machine ?scale frontend scheme w)
 
 (** Compute every not-yet-cached cell on the active pool (deduplicated by
     key) and populate the cache. A no-op without a pool or at [--jobs 1],
     leaving the exact legacy lazily-computed sequential path. Each task
     builds its own pipeline/BTB/VM state inside [Driver.run]; no mutable
     state is shared between cells. The cached-cell filter consults the
-    persistent store too, so a warm process fans out nothing. *)
+    persistent store too, so a warm process fans out nothing; a task whose
+    key is cached or in flight by the time it runs returns at once. *)
 let prefetch cells =
   match !pool with
   | None -> ()
@@ -181,22 +247,12 @@ let prefetch cells =
         cells
     in
     ignore
-      (Scd_util.Pool.map p (fun c -> insert c.key (c.compute ())) todo
+      (Scd_util.Pool.map p
+         (fun c ->
+           if claim ~wait:false c.key then
+             ignore (compute_claimed c : Driver.result))
+         todo
         : unit list)
-
-(* ------------------------------------------------------------------ *)
-(* Cached lookups                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let run ?(machine = Config.simulator) ?(scale = Scd_workloads.Workload.Sim)
-    frontend scheme (w : Scd_workloads.Workload.t) =
-  let key = std_key ~machine ~scale frontend scheme w in
-  match find_cached key with
-  | Some r -> r
-  | None ->
-    let r = compute_std ~machine ~scale frontend scheme w () in
-    insert key r;
-    r
 
 (** Cycle-count speedup of [r] over [baseline], in percent. *)
 let speedup ~baseline r =
@@ -210,18 +266,6 @@ let speedup_ratio ~baseline r =
 
 let geomean_speedup_percent ratios =
   (Scd_util.Summary.geomean ratios -. 1.0) *. 100.0
-
-(* Runs with non-default driver knobs (multi-table, indirect override,
-   custom machine tweaks) are cached under an explicit tag. *)
-let run_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
-    scale =
-  let key = custom_key ~tag w scale in
-  match find_cached key with
-  | Some r -> r
-  | None ->
-    let r = run_driver ~key config ~source:(Scd_workloads.Workload.source w scale) in
-    insert key r;
-    r
 
 let workloads = Scd_workloads.Registry.all
 

@@ -2,6 +2,7 @@
    experiment runs must render byte-identical tables to sequential runs. *)
 
 module Pool = Scd_util.Pool
+module Sweep = Scd_experiments.Sweep
 
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                     *)
@@ -84,23 +85,130 @@ let find_experiment id =
   | Some e -> e
   | None -> Alcotest.failf "experiment %s not registered" id
 
-let render ~jobs e =
-  (* clear the sweep memo cache so each rendering recomputes from scratch *)
-  Scd_experiments.Sweep.clear ();
-  Pool.with_pool ~jobs (fun pool ->
-      match Scd_experiments.Runner.run_all ~pool ~quick:true ~csv:false [ e ] with
-      | [ r ] -> r.body
-      | rs -> Alcotest.failf "expected one rendering, got %d" (List.length rs))
+(* Each rendering starts from an empty sweep memo table, and must
+   co-simulate every cell it reads exactly once. *)
+let render ~jobs experiments =
+  Sweep.clear ();
+  let runs0 = Scd_cosim.Driver.runs () in
+  let bodies =
+    Pool.with_pool ~jobs (fun pool ->
+        List.map
+          (fun (r : Scd_experiments.Runner.rendered) -> r.body)
+          (Scd_experiments.Runner.run_all ~pool ~quick:true ~csv:false
+             experiments))
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "one co-simulation per distinct cell at jobs %d" jobs)
+    (Mutex.protect Sweep.cache_mutex (fun () -> Hashtbl.length Sweep.cache))
+    (Scd_cosim.Driver.runs () - runs0);
+  bodies
 
 let test_deterministic id () =
   let e = find_experiment id in
-  let sequential = render ~jobs:1 e in
-  let pooled = render ~jobs:4 e in
-  Scd_experiments.Sweep.clear ();
+  let sequential = List.hd (render ~jobs:1 [ e ]) in
+  (* two concurrent renderings of one experiment ask for every cell twice *)
+  let pooled = render ~jobs:4 [ e; e ] in
+  Sweep.clear ();
   Alcotest.(check bool)
     "rendering is non-empty" true
     (String.length sequential > 0);
-  Alcotest.(check string) "pooled output byte-identical" sequential pooled
+  Alcotest.(check (list string))
+    "pooled output byte-identical" [ sequential; sequential ] pooled
+
+(* ------------------------------------------------------------------ *)
+(* Single flight: each sweep key is computed once across pool domains  *)
+(* ------------------------------------------------------------------ *)
+
+let test_cells ws =
+  List.concat_map
+    (fun w ->
+      List.map
+        (fun scheme ->
+          Sweep.cell ~scale:Scd_workloads.Workload.Test "lua" scheme w)
+        Scd_core.Scheme.[ Baseline; Scd ])
+    ws
+
+(* Two pool tasks that each prefetch and then read their own list, as two
+   experiments do; returns the results as codec strings and the number of
+   co-simulations run. *)
+let prefetch_and_read ~jobs lists =
+  Sweep.clear ();
+  let runs0 = Scd_cosim.Driver.runs () in
+  let results =
+    Pool.with_pool ~jobs (fun pool ->
+        Sweep.set_pool (Some pool);
+        Fun.protect ~finally:(fun () -> Sweep.set_pool None) @@ fun () ->
+        Pool.map pool
+          (fun cells ->
+            Sweep.prefetch cells;
+            List.map
+              (fun c -> Scd_cosim.Result.to_string (Sweep.get c))
+              cells)
+          lists)
+  in
+  (results, Scd_cosim.Driver.runs () - runs0)
+
+let test_overlapping_prefetch () =
+  let ws = List.filteri (fun i _ -> i < 6) Scd_workloads.Registry.all in
+  let lists =
+    [ test_cells (List.filteri (fun i _ -> i < 4) ws);
+      test_cells (List.filteri (fun i _ -> i >= 2) ws) ]
+  in
+  let distinct =
+    List.length
+      (List.sort_uniq String.compare
+         (List.map (fun (c : Sweep.cell) -> c.key) (List.concat lists)))
+  in
+  let sequential, _ = prefetch_and_read ~jobs:1 lists in
+  List.iter
+    (fun jobs ->
+      let pooled, runs = prefetch_and_read ~jobs lists in
+      Alcotest.(check int)
+        (Printf.sprintf "one co-simulation per distinct key at jobs %d" jobs)
+        distinct runs;
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "jobs %d results = jobs 1 results" jobs)
+        sequential pooled)
+    [ 2; 4 ];
+  Sweep.clear ()
+
+exception Cell_failed
+
+let test_raising_cell () =
+  Sweep.clear ();
+  let calls = Atomic.make 0 in
+  let failing =
+    { Sweep.key = "test|raising-cell";
+      compute =
+        (fun () ->
+          Atomic.incr calls;
+          (* long enough for the other domain to find the key in flight *)
+          Unix.sleepf 0.05;
+          raise Cell_failed) }
+  in
+  let raised =
+    Pool.with_pool ~jobs:2 (fun p ->
+        match Pool.map p Sweep.get [ failing; failing ] with
+        | _ -> false
+        | exception Cell_failed -> true)
+  in
+  Alcotest.(check bool) "the exception comes out of Pool.map" true raised;
+  (* a reader that waited on the failed claim retries and computes itself *)
+  Alcotest.(check int) "each reader computed once" 2 (Atomic.get calls);
+  Alcotest.(check bool)
+    "a failed key is not cached" false
+    (Mutex.protect Sweep.cache_mutex (fun () ->
+         Hashtbl.mem Sweep.cache failing.key));
+  (* the claim was released: a working compute for the key now lands *)
+  let r =
+    Sweep.get
+      (Sweep.cell ~scale:Scd_workloads.Workload.Test "lua"
+         Scd_core.Scheme.Baseline (List.hd Scd_workloads.Registry.all))
+  in
+  Alcotest.(check bool)
+    "the key computes once released" true
+    (Sweep.get { failing with compute = (fun () -> r) } == r);
+  Sweep.clear ()
 
 let () =
   Alcotest.run "parallel"
@@ -118,6 +226,13 @@ let () =
             test_nested_run;
           Alcotest.test_case "default_jobs is positive" `Quick
             test_default_jobs_positive;
+        ] );
+      ( "single flight",
+        [
+          Alcotest.test_case "overlapping prefetches compute each key once"
+            `Quick test_overlapping_prefetch;
+          Alcotest.test_case "a raising cell releases its claim" `Quick
+            test_raising_cell;
         ] );
       ( "determinism",
         [
