@@ -5,7 +5,9 @@ type site = Common_site | Call_site | Branch_site
 type t = {
   spec : Spec.t;
   scheme : Scd_core.Scheme.t;
-  site_bases : (site * int) list;
+  site_bases : int array;
+      (* Base PC per dense site index (common, call, branch); [-1] for a
+         site the spec does not have. *)
   handler_entries : int array;
   handler_tails : int array;
   default_handler : int;
@@ -92,7 +94,7 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
   (* Dispatch-site blocks (unused under jump threading, where every handler
      carries a replica, but allocating them is harmless and keeps addresses
      comparable across schemes). *)
-  let sites =
+  let site_bases =
     let needs_split_sites =
       (* The stack VM has distinct call/branch fetch sites. *)
       let rec probe op =
@@ -103,14 +105,13 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
       in
       probe 0
     in
-    let common =
-      (Common_site, alloc_instrs (site_block_len spec scheme ~with_loop_overhead:true))
-    in
+    let common = alloc_instrs (site_block_len spec scheme ~with_loop_overhead:true) in
     if needs_split_sites then
-      common
-      :: [ (Call_site, alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false));
-           (Branch_site, alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false)) ]
-    else [ common ]
+      (* the branch-site block sits below the call-site block *)
+      let branch = alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false) in
+      let call = alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false) in
+      [| common; call; branch |]
+    else [| common; -1; -1 |]
   in
   let handler_entries = Array.make spec.num_opcodes 0 in
   let handler_tails = Array.make spec.num_opcodes 0 in
@@ -135,7 +136,7 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
   {
     spec;
     scheme;
-    site_bases = sites;
+    site_bases;
     handler_entries;
     handler_tails;
     default_handler;
@@ -149,17 +150,17 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
 let spec t = t.spec
 let scheme t = t.scheme
 
+let site_index = function Common_site -> 0 | Call_site -> 1 | Branch_site -> 2
+
 let site_base t site =
-  match List.assoc_opt site t.site_bases with
-  | Some base -> base
-  | None -> List.assoc Common_site t.site_bases
+  let base = t.site_bases.(site_index site) in
+  if base >= 0 then base else t.site_bases.(0)
 
 let site_of_opcode t op =
   match t.spec.dispatch_site op with
   | `Common -> Common_site
-  | `Call_tail -> if List.mem_assoc Call_site t.site_bases then Call_site else Common_site
-  | `Branch_tail ->
-    if List.mem_assoc Branch_site t.site_bases then Branch_site else Common_site
+  | `Call_tail -> if t.site_bases.(1) >= 0 then Call_site else Common_site
+  | `Branch_tail -> if t.site_bases.(2) >= 0 then Branch_site else Common_site
 
 let handler_entry t op = t.handler_entries.(op)
 

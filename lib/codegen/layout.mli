@@ -38,6 +38,10 @@ val site_of_opcode : t -> int -> site
 (** Which site dispatches *after* this opcode's handler (non-jump-threaded
     schemes). *)
 
+val site_index : site -> int
+(** Dense site index: 0 common, 1 call, 2 branch — the index of
+    {!Template.set}'s per-site arrays and of Section IV's branch IDs. *)
+
 val hot_stride : int
 (** Byte distance between consecutive *executed* instructions inside handler
     and helper bodies: compiled handlers interleave hot code with cold

@@ -1,49 +1,50 @@
 open Scd_isa
 
 (* A template is the fixed portion of one dispatch/handler event sequence,
-   precompiled into whole tape cells. See template.mli for the encoding
-   contract and the patch-word conventions. *)
+   precompiled into whole tape cells and registered with {!Stamp}. See
+   template.mli for the encoding contract and the patch-word conventions. *)
 
-type t = {
-  cells : int array;
-  fetch_patch : int;
-  end_pc : int;
-}
+type t = { stamp : Stamp.t; end_pc : int }
 
-let empty = { cells = [||]; fetch_patch = -1; end_pc = 0 }
+let make ?(fetch_patch = -1) ?(end_pc = 0) ?(reloc = false) cells =
+  let patch_b = if fetch_patch >= 0 then [| fetch_patch |] else [||] in
+  { stamp = Stamp.register ~reloc ~patch_b cells; end_pc }
 
-let make ?(fetch_patch = -1) ?(end_pc = 0) cells = { cells; fetch_patch; end_pc }
+(* Cell 0 is the call: its PC ([a]) and RAS link ([b]) are call-site
+   words, as is the final return cell's target ([b]); everything else
+   (the callee body) is absolute. *)
+let blob cells =
+  let last = Array.length cells - Event.cell_words in
+  {
+    stamp =
+      Stamp.register ~patch_a:[| 0 |] ~patch_b:[| 3; last + 2 |] cells;
+    end_pc = 0;
+  }
 
 type set = {
   dispatch : t array array;
   replica : t array;
   scd_prefix : t array;
   scd_miss : t array array;
-  blobs : (int, t) Hashtbl.t;
+  rt_blobs : t array;
+  builtin_blobs : t array;
+  handlers : Spec.handler_spec array;
+  next_site : int array;
+  tail_target : int array;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Stamping                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let stamp_dispatch tape t ~fetch_addr =
-  let base = Event.tape_blit tape t.cells in
-  Event.tape_set_word tape (base + t.fetch_patch) fetch_addr
+let stamp_dispatch tape t ~fetch_addr = Stamp.push tape t.stamp ~a:0 ~b:fetch_addr
 
 let stamp_replica tape t ~base_pc ~fetch_addr =
-  let base = Event.tape_blit_reloc tape t.cells ~pc_delta:base_pc in
-  Event.tape_set_word tape (base + t.fetch_patch) fetch_addr
+  Stamp.push tape t.stamp ~a:base_pc ~b:fetch_addr
 
-let stamp tape t = ignore (Event.tape_blit tape t.cells : int)
+let stamp tape t = Stamp.push tape t.stamp ~a:0 ~b:0
 
-let stamp_blob tape t ~call_pc ~link =
-  let base = Event.tape_blit tape t.cells in
-  (* cell 0 is the call: its PC and RAS link are call-site-dependent, as is
-     the final return cell's target — everything else (the callee body) is
-     absolute. *)
-  Event.tape_set_word tape base call_pc;
-  Event.tape_set_word tape (base + 3) link;
-  Event.tape_set_word tape (base + Array.length t.cells - 2) link
+let stamp_blob tape t ~call_pc ~link = Stamp.push tape t.stamp ~a:call_pc ~b:link
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)

@@ -4,28 +4,24 @@
     once {!Layout.build} has assigned code addresses: per (opcode, scheme,
     dispatch site) every cell's PC, flags and most payload words are
     constants. A template captures those cells — in the exact
-    {!Scd_isa.Event.tape} 4-word encoding — so the co-simulation driver
-    can emit a whole sequence as one [Array.blit]-style stamp plus a short
-    patch list for the run-dependent words (bytecode fetch address,
-    data-access addresses, branch outcome, bop hit/target), instead of
-    re-computing flags and cursor positions cell by cell on every executed
-    bytecode.
+    {!Scd_isa.Event.tape} 4-word encoding — and registers them with
+    {!Scd_isa.Stamp}, so the co-simulation driver emits a whole sequence
+    as one reference cell carrying the run-dependent words (bytecode fetch
+    address, or a helper call's PC and link) instead of re-computing, or
+    copying, every cell on every executed bytecode.
 
     Templates hold only run-invariant words. Anything decided at trace
     time — data-access addresses, taken bits, bop hits, engine-supplied
     targets — is either a patch word or a separately pushed cell; the
-    stamped tape must be word-for-word identical to the push-based
-    expansion (the differential tests assert exactly that). *)
+    stamped tape, references expanded, must be word-for-word identical to
+    the push-based expansion (the differential tests assert exactly
+    that). *)
 
 type t = {
-  cells : int array;
-      (** Whole cells, [Scd_isa.Event.cell_words] words each. For
-          relocatable templates (jump-threading replicas) word 0 of each
-          cell is relative to the stamp base PC; payload words are always
-          absolute. *)
-  fetch_patch : int;
-      (** Word offset of the bytecode-fetch address ([arg1] of the fetch
-          load) within [cells]; [-1] when the template has none. *)
+  stamp : Scd_isa.Stamp.t;
+      (** The registered cells and their consume summary. Relocatable
+          templates (jump-threading replicas) hold PCs relative to the
+          stamp base; payload words are always absolute. *)
   end_pc : int;
       (** Emission cursor after the stamp — absolute for site-anchored
           templates, base-relative for relocatable ones. Only meaningful
@@ -33,9 +29,16 @@ type t = {
           dispatch prefix, whose end is the [bop] PC). *)
 }
 
-val empty : t
+val make : ?fetch_patch:int -> ?end_pc:int -> ?reloc:bool -> int array -> t
+(** Register a dispatcher template. [fetch_patch] is the word offset of
+    the bytecode-fetch address ([arg1] of the fetch load), [-1] (the
+    default) when there is none; [reloc] marks cell PCs as relative to the
+    stamp base. *)
 
-val make : ?fetch_patch:int -> ?end_pc:int -> int array -> t
+val blob : int array -> t
+(** Register a helper-call template: the call cell, the callee body and
+    the return, whose call PC, RAS link and return target are patched per
+    call site. *)
 
 type set = {
   dispatch : t array array;
@@ -43,49 +46,57 @@ type set = {
           reaching [opcode]'s handler from dispatch site [site] (compact
           4-byte-stride site block, loop-overhead prefix on the common
           site only). Non-SCD schemes; under jump threading only site 0 is
-          populated (the one pre-replica dispatch). One patch: the fetch
-          address. *)
+          used (the one pre-replica dispatch). One patch: the fetch
+          address. Empty under SCD. *)
   replica : t array;
       (** [replica.(opcode)]: jump-threading replica dispatcher,
           base-relative (stamped at the previous handler's tail with
           {!stamp_replica}), spaced {!Layout.hot_stride}. One patch: the
-          fetch address. *)
+          fetch address. Empty under other schemes. *)
   scd_prefix : t array;
       (** [scd_prefix.(site)]: the SCD dispatcher up to (excluding) the
           [bop] — the rest depends on the engine's architectural state at
           trace time. [end_pc] is the [bop] PC. One patch: the fetch
-          address. *)
+          address. Empty under other schemes. *)
   scd_miss : t array array;
       (** [scd_miss.(site).(opcode)]: the [bop]-miss slow path —
           decode/bound-check/target-calculation from the [bop]
           fall-through up to (excluding) the [jru]. The miss [bop] cell
           itself and the [jru] carry engine decisions and are pushed at
           trace time. No patches; [end_pc] is the [jru] PC. *)
-  blobs : (int, t) Hashtbl.t;
-      (** Per [blob_id]: the runtime-helper / builtin call cell plus the
-          callee body and return. The callee body is absolute; the call
-          cell's PC and RAS link and the return target are call-site
-          words, patched by {!stamp_blob}. *)
+  rt_blobs : t array;
+      (** [rt_blobs.(id)]: the helper call for [spec.blobs.(id)] (a
+          handler's [rt_call]), built with {!blob}. *)
+  builtin_blobs : t array;
+      (** [builtin_blobs.(b)]: the library call for builtin [b]. *)
+  handlers : Spec.handler_spec array;  (** [spec.handler], per opcode. *)
+  next_site : int array;
+      (** Per opcode, the dense index of the dispatch site that fetches
+          the next bytecode after its handler. *)
+  tail_target : int array;
+      (** Per opcode, the base PC of that site: the handler tail's jump
+          target. *)
 }
-(** One scheme's worth of templates for one interpreter spec. Arrays are
-    indexed by the driver's dense site index (0 = common site) and
-    opcode. *)
+(** One scheme's worth of templates and per-opcode tables for one
+    interpreter spec. Arrays are indexed by the driver's dense site index
+    (0 = common site, 1 = call site, 2 = branch site) and opcode. *)
 
 val stamp_dispatch : Scd_isa.Event.tape -> t -> fetch_addr:int -> unit
-(** Append the template and patch the bytecode-fetch address. *)
+(** Append a reference to the template with the bytecode-fetch address as
+    its patch. *)
 
 val stamp_replica :
   Scd_isa.Event.tape -> t -> base_pc:int -> fetch_addr:int -> unit
-(** Append a base-relative template at [base_pc] (cell PCs are offset by
-    it) and patch the fetch address. *)
+(** Append a reference to a base-relative template placed at [base_pc]
+    (cell PCs are offset by it), with the fetch-address patch. *)
 
 val stamp : Scd_isa.Event.tape -> t -> unit
-(** Append a template with no patches. *)
+(** Append a reference to a template with no patches. *)
 
 val stamp_blob : Scd_isa.Event.tape -> t -> call_pc:int -> link:int -> unit
-(** Append a blob template, patching the call-site words: the call cell's
-    PC and RAS link, and the return cell's target ([link] — where
-    execution resumes after the helper). *)
+(** Append a reference to a blob template with its call-site words: the
+    call cell's PC and RAS link, and the return cell's target ([link] —
+    where execution resumes after the helper). *)
 
 val find_or_build :
   spec:Spec.t -> scheme:Scd_core.Scheme.t -> (unit -> set) -> set

@@ -81,19 +81,19 @@ type expander = {
   trap : (Event.tape -> unit) option;
       (* Test observer: called on every non-empty tape batch just before it
          is drained. [None] (the default) costs one field load per flush. *)
-  templates : Template.set option;
-      (* Precompiled per-(site, opcode) cell templates: when present,
-         [on_bytecode] stamps whole dispatcher / helper-call sequences with
-         {!Event.tape_blit} and patches the run-dependent words, instead of
-         re-deriving every cell through the emit helpers. Only on the
-         [`Flat] path; [`Flat_push] keeps the cell-by-cell emission for
+  ts : Template.set;
+      (* This (spec, scheme)'s precompiled templates and per-opcode tables
+         (handler specs, next dispatch site, tail-jump target), built once
+         per process. *)
+  stamped : bool;
+      (* Emit each dispatcher / helper-call sequence as one template
+         reference cell ({!Template.stamp_dispatch} and friends) instead of
+         deriving every cell through the emit helpers. Only on the [`Flat]
+         path; [`Flat_push] keeps the cell-by-cell emission for
          differential testing. *)
 }
 
-let table_of_site = function
-  | Layout.Common_site -> 0
-  | Layout.Call_site -> 1
-  | Layout.Branch_site -> 2
+let sites = [| Layout.Common_site; Layout.Call_site; Layout.Branch_site |]
 
 (* Instructions separating the .op producer from bop in the emitted
    dispatcher; decides Rop readiness for the fall-through policy. *)
@@ -289,8 +289,9 @@ let emit_dispatch_prefix exp ~step ~overhead ~fetch_addr =
   fetch_word
 
 (* Section IV: with multiple tables each dispatch site has its own Rbop-pc
-   register; with one table the sites share it and thrash. *)
-let scd_table exp ~site = if exp.multi_table then table_of_site site else 0
+   register; with one table the sites share it and thrash. [site] is the
+   dense site index. *)
+let scd_table exp ~site = if exp.multi_table then site else 0
 
 (* The SCD short-circuit query at the bop. The engine reads the shared
    BTB, so pending events are drained first: the architecturally-visible
@@ -366,26 +367,17 @@ let emit_blob_cells exp ~step (b : Spec.rt_blob) =
     (b.body_instrs - (mems * b.load_every));
   emit_return exp exp.epc ~target:return_to
 
-(* Helper-call emission: one stamp plus three patched call-site words when
-   a template exists (every blob body is run-invariant — its data traffic
-   walks fixed stack slots), the cell-by-cell path otherwise. *)
-let emit_blob exp ~step (b : Spec.rt_blob) =
-  match exp.templates with
-  | None -> emit_blob_cells exp ~step b
-  | Some ts ->
-    (match Hashtbl.find ts.Template.blobs b.blob_id with
-     | t ->
-       Template.stamp_blob exp.tape t ~call_pc:exp.epc
-         ~link:(exp.epc + step)
-     | exception Not_found ->
-       (* A blob id outside the builder's enumeration (defensive: the
-          builder covers [spec.blobs] and every builtin). *)
-       emit_blob_cells exp ~step b)
+(* Helper-call emission when stamping: one reference cell carrying the
+   call-site words (every blob body is run-invariant — its data traffic
+   walks fixed stack slots). *)
+let stamp_blob exp t =
+  Template.stamp_blob exp.tape t ~call_pc:exp.epc
+    ~link:(exp.epc + Layout.hot_stride)
 
 (* Handler body for one bytecode event. *)
 let emit_handler exp (tr : Trace.t) =
   let opcode = tr.opcode in
-  let spec_handler = exp.spec.handler opcode in
+  let spec_handler = exp.ts.handlers.(opcode) in
   exp.epc <- Layout.handler_entry exp.layout opcode;
   let body = spec_handler.body_instrs in
   (* Data accesses occupy the first slots; a control-dependent branch, if
@@ -412,26 +404,32 @@ let emit_handler exp (tr : Trace.t) =
     exp.epc <- exp.epc + Layout.hot_stride
   end;
   (* Runtime helper / builtin library call. *)
-  if tr.ctrl_kind = Trace.ctrl_call && tr.ctrl_arg < 0 then
-    emit_blob exp ~step:Layout.hot_stride (exp.spec.builtin_blob (-1 - tr.ctrl_arg))
+  if tr.ctrl_kind = Trace.ctrl_call && tr.ctrl_arg < 0 then begin
+    let builtin = -1 - tr.ctrl_arg in
+    if exp.stamped && builtin < Array.length exp.ts.builtin_blobs then
+      stamp_blob exp exp.ts.builtin_blobs.(builtin)
+    else
+      emit_blob_cells exp ~step:Layout.hot_stride (exp.spec.builtin_blob builtin)
+  end
   else
     match spec_handler.rt_call with
-    | Some id -> emit_blob exp ~step:Layout.hot_stride exp.spec.blobs.(id)
+    | Some id ->
+      if exp.stamped then stamp_blob exp exp.ts.rt_blobs.(id)
+      else emit_blob_cells exp ~step:Layout.hot_stride exp.spec.blobs.(id)
     | None -> ()
 
 let emit_tail exp opcode =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading -> () (* the replica is this handler's own dispatcher *)
   | _ ->
-    let site = Layout.site_of_opcode exp.layout opcode in
-    let target = Layout.site_base exp.layout site in
-    emit_jump exp (Layout.handler_tail exp.layout opcode) ~target
+    emit_jump exp (Layout.handler_tail exp.layout opcode)
+      ~target:exp.ts.tail_target.(opcode)
 
-(* The dispatch site that fetches the next bytecode: the handler tail of
-   the previous opcode selects it (common site before the first). *)
+(* Dense index of the dispatch site that fetches the next bytecode: the
+   handler tail of the previous opcode selects it (common site before the
+   first). *)
 let dispatch_site exp =
-  if exp.prev_opcode < 0 then Layout.Common_site
-  else Layout.site_of_opcode exp.layout exp.prev_opcode
+  if exp.prev_opcode < 0 then 0 else exp.ts.next_site.(exp.prev_opcode)
 
 (* Cell-by-cell dispatch emission (no templates: the [`Flat_push] and
    boxed paths). *)
@@ -442,31 +440,29 @@ let push_dispatch exp ~opcode ~fetch_addr =
       ignore
         (emit_dispatch exp
            ~base:(Layout.site_base exp.layout Layout.Common_site)
-           ~step:4 ~overhead:true ~site:Layout.Common_site ~opcode
-           ~fetch_addr
+           ~step:4 ~overhead:true ~site:0 ~opcode ~fetch_addr
           : int)
     else
       (* a replica is inlined C inside the handler: handler stride *)
       ignore
         (emit_dispatch exp
            ~base:(Layout.handler_tail exp.layout exp.prev_opcode)
-           ~step:Layout.hot_stride ~overhead:false ~site:Layout.Common_site
-           ~opcode ~fetch_addr
+           ~step:Layout.hot_stride ~overhead:false ~site:0 ~opcode
+           ~fetch_addr
           : int)
   | _ ->
     let site = dispatch_site exp in
     ignore
       (emit_dispatch exp
-         ~base:(Layout.site_base exp.layout site)
-         ~step:4 ~overhead:(site = Layout.Common_site) ~site ~opcode
-         ~fetch_addr
+         ~base:(Layout.site_base exp.layout sites.(site))
+         ~step:4 ~overhead:(site = 0) ~site ~opcode ~fetch_addr
         : int)
 
-(* Template-stamped dispatch: one blit plus a fetch-address patch replaces
-   the cell-by-cell derivation. Under SCD only the prefix (and, on a miss,
-   the decode sequence) is precompiled — the bop and jru cells carry
-   engine decisions made at trace time and stay runtime-pushed, exactly as
-   on the cell-by-cell path. *)
+(* Template-stamped dispatch: one reference cell carrying the fetch
+   address replaces the cell-by-cell derivation. Under SCD only the prefix
+   (and, on a miss, the decode sequence) is precompiled — the bop and jru
+   cells carry engine decisions made at trace time and stay runtime-pushed,
+   exactly as on the cell-by-cell path. *)
 let stamp_dispatch exp (ts : Template.set) ~opcode ~fetch_addr =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading ->
@@ -480,17 +476,15 @@ let stamp_dispatch exp (ts : Template.set) ~opcode ~fetch_addr =
         ~base_pc:(Layout.handler_tail exp.layout exp.prev_opcode)
         ~fetch_addr
   | Baseline | Vbbi ->
-    let si = table_of_site (dispatch_site exp) in
     Template.stamp_dispatch exp.tape
-      ts.Template.dispatch.(si).(opcode)
+      ts.Template.dispatch.(dispatch_site exp).(opcode)
       ~fetch_addr
   | Scd ->
-    let site = dispatch_site exp in
-    let si = table_of_site site in
+    let si = dispatch_site exp in
     let pre = ts.Template.scd_prefix.(si) in
     Template.stamp_dispatch exp.tape pre ~fetch_addr;
     let bop_pc = pre.Template.end_pc in
-    let table = scd_table exp ~site in
+    let table = scd_table exp ~site:si in
     let target = scd_bop_query exp ~table ~bop_pc ~opcode in
     let handler = Layout.handler_entry exp.layout opcode in
     if target <> Scd_core.Engine.no_target then
@@ -511,9 +505,8 @@ let on_bytecode exp (tr : Trace.t) =
     Layout.bytecode_addr exp.layout ~fn:tr.fn ~pc:(tr.pc * exp.stride)
   in
   (* 1. the dispatcher that fetched this bytecode *)
-  (match exp.templates with
-   | Some ts -> stamp_dispatch exp ts ~opcode:tr.opcode ~fetch_addr
-   | None -> push_dispatch exp ~opcode:tr.opcode ~fetch_addr);
+  (if exp.stamped then stamp_dispatch exp exp.ts ~opcode:tr.opcode ~fetch_addr
+   else push_dispatch exp ~opcode:tr.opcode ~fetch_addr);
   (* 2. the handler itself *)
   emit_handler exp tr;
   (* 3. the tail jump back to a dispatch site (replicas handled in step 1) *)
@@ -535,9 +528,7 @@ let on_bytecode_observed exp tel (tr : Trace.t) =
     (* mirrors the site selection in [on_bytecode] *)
     match exp.scheme with
     | Scd_core.Scheme.Jump_threading -> 0
-    | _ ->
-      if exp.prev_opcode < 0 then 0
-      else table_of_site (Layout.site_of_opcode exp.layout exp.prev_opcode)
+    | _ -> dispatch_site exp
   in
   on_bytecode exp tr;
   Telemetry.note_bytecode tel ~site ~opcode:tr.opcode
@@ -553,18 +544,35 @@ let trace_callback exp = function
 (* Template building                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The builder's own expander emits cell by cell and reads no table. *)
+let no_templates =
+  {
+    Template.dispatch = [||];
+    replica = [||];
+    scd_prefix = [||];
+    scd_miss = [||];
+    rt_blobs = [||];
+    builtin_blobs = [||];
+    handlers = [||];
+    next_site = [||];
+    tail_target = [||];
+  }
+
 (* Build one scheme's template set by running the cell-by-cell emitters
    into a scratch expander and snapshotting the tape after each sequence —
    the templates are, by construction, the exact cells the push path would
    emit (the differential tests compare the two word-for-word). Code
-   addresses depend only on (spec, scheme), so {!Template.find_or_build}
-   memoizes the result process-wide; the builder runs once per key. *)
-let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
+   addresses depend only on (spec, scheme) — not on the program's function
+   sizes, which only move data — so {!Template.find_or_build} memoizes the
+   result process-wide and the builder runs once per key, on the first
+   run's layout (or, for {!templates}, an empty program's). *)
+let build_templates ~layout ~pipeline ~engine (spec : Spec.t) scheme =
   let b =
     {
       layout;
       spec;
       scheme;
+      (* never consulted: the builder only emits, and never reaches a flush *)
       pipeline;
       engine;
       stride = 1 (* never used: the builder sees no bytecode fetches *);
@@ -579,7 +587,8 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
       trap = None;
-      templates = None (* the builder itself emits cell by cell *);
+      ts = no_templates;
+      stamped = false (* the builder itself emits cell by cell *);
     }
   in
   let snap () =
@@ -588,37 +597,55 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
     cells
   in
   let n = spec.num_opcodes in
-  let sites = [| Layout.Common_site; Layout.Call_site; Layout.Branch_site |] in
-  let none = [||] in
-  let dispatch = Array.make 3 none in
-  let scd_prefix = Array.make 3 Template.empty in
-  let scd_miss = Array.make 3 none in
   let scd = scheme = Scd_core.Scheme.Scd in
-  Array.iteri
-    (fun si site ->
-      let base = Layout.site_base layout site in
-      let overhead = site = Layout.Common_site in
-      if scd then begin
-        b.epc <- base;
-        let fp = emit_dispatch_prefix b ~step:4 ~overhead ~fetch_addr:0 in
-        let bop_pc = b.epc in
-        scd_prefix.(si) <-
-          Template.make ~fetch_patch:fp ~end_pc:bop_pc (snap ());
-        scd_miss.(si) <-
-          Array.init n (fun opcode ->
-              b.epc <- bop_pc + 4;
-              emit_decode_to_target b ~step:4 ~opcode;
-              Template.make ~end_pc:b.epc (snap ()))
-      end
-      else
-        dispatch.(si) <-
+  let next_site =
+    Array.init n (fun op -> Layout.site_index (Layout.site_of_opcode layout op))
+  in
+  (* Templates only for the sites some dispatch uses: the common site
+     (the first dispatch) and, except under jump threading, every site a
+     handler tail jumps to. An unused site shares the common site's
+     templates, which are never stamped from there. *)
+  let used si =
+    scheme <> Scd_core.Scheme.Jump_threading
+    && Array.exists (fun (s : int) -> s = si) next_site
+  in
+  let per_site f =
+    let common = f 0 (Layout.site_base layout Layout.Common_site) ~overhead:true in
+    Array.mapi
+      (fun si site ->
+        if si > 0 && used si then
+          f si (Layout.site_base layout site) ~overhead:false
+        else common)
+      sites
+  in
+  let dispatch =
+    if scd then [||]
+    else
+      per_site (fun si base ~overhead ->
           Array.init n (fun opcode ->
               let fp =
-                emit_dispatch b ~base ~step:4 ~overhead ~site ~opcode
+                emit_dispatch b ~base ~step:4 ~overhead ~site:si ~opcode
                   ~fetch_addr:0
               in
               Template.make ~fetch_patch:fp (snap ())))
-    sites;
+  in
+  let scd_prefix, scd_miss =
+    if not scd then ([||], [||])
+    else
+      let sequences =
+        per_site (fun _ base ~overhead ->
+            b.epc <- base;
+            let fp = emit_dispatch_prefix b ~step:4 ~overhead ~fetch_addr:0 in
+            let bop_pc = b.epc in
+            let prefix = Template.make ~fetch_patch:fp ~end_pc:bop_pc (snap ()) in
+            ( prefix,
+              Array.init n (fun opcode ->
+                  b.epc <- bop_pc + 4;
+                  emit_decode_to_target b ~step:4 ~opcode;
+                  Template.make ~end_pc:b.epc (snap ())) ))
+      in
+      (Array.map fst sequences, Array.map snd sequences)
+  in
   let replica =
     if scheme = Scd_core.Scheme.Jump_threading then
       (* Base-relative: stamped at the previous handler's tail, so cell PCs
@@ -626,24 +653,36 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
       Array.init n (fun opcode ->
           let fp =
             emit_dispatch b ~base:0 ~step:Layout.hot_stride ~overhead:false
-              ~site:Layout.Common_site ~opcode ~fetch_addr:0
+              ~site:0 ~opcode ~fetch_addr:0
           in
-          Template.make ~fetch_patch:fp (snap ()))
+          Template.make ~fetch_patch:fp ~reloc:true (snap ()))
     else [||]
   in
-  let blobs = Hashtbl.create 64 in
-  let add_blob (blob : Spec.rt_blob) =
-    if not (Hashtbl.mem blobs blob.blob_id) then begin
-      b.epc <- 0 (* the call-site words are patched at stamp time *);
-      emit_blob_cells b ~step:Layout.hot_stride blob;
-      Hashtbl.replace blobs blob.blob_id (Template.make (snap ()))
-    end
+  let blob (rt : Spec.rt_blob) =
+    b.epc <- 0 (* the call-site words are patched at stamp time *);
+    emit_blob_cells b ~step:Layout.hot_stride rt;
+    Template.blob (snap ())
   in
-  Array.iter add_blob spec.blobs;
-  for builtin = 0 to Builtins.count - 1 do
-    add_blob (spec.builtin_blob builtin)
-  done;
-  { Template.dispatch; replica; scd_prefix; scd_miss; blobs }
+  {
+    Template.dispatch;
+    replica;
+    scd_prefix;
+    scd_miss;
+    rt_blobs = Array.map blob spec.blobs;
+    builtin_blobs = Array.init Builtins.count (fun k -> blob (spec.builtin_blob k));
+    handlers = Array.init n spec.handler;
+    next_site;
+    tail_target = Array.init n (fun op -> Layout.site_base layout sites.(next_site.(op)));
+  }
+
+let templates spec scheme =
+  Template.find_or_build ~spec ~scheme (fun () ->
+      let layout =
+        Layout.build ~spec ~scheme ~fn_code_sizes:[||] ~fn_const_counts:[||]
+      in
+      let btb = Btb.create ~entries:1 ~ways:1 ~replacement:Btb.Lru () in
+      build_templates ~layout ~pipeline:(Pipeline.create ~btb Config.simulator)
+        ~engine:(Scd_core.Engine.create btb) spec scheme)
 
 (* ------------------------------------------------------------------ *)
 
@@ -697,17 +736,10 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
           ~fn_const_counts:(F.fn_const_counts program))
   in
   let rle = event_path = `Flat || event_path = `Flat_push in
-  let templates =
-    (* Stamping requires the RLE cell shapes ([`Flat] only); [`Flat_push]
-       deliberately keeps the cell-by-cell emitters alive for word-for-word
-       differential testing. *)
-    if event_path = `Flat then
-      Some
-        (Scd_obs.Prof.span "templates" (fun () ->
-             Template.find_or_build ~spec ~scheme:config.scheme (fun () ->
-                 build_templates ~layout ~spec ~scheme:config.scheme ~pipeline
-                   ~engine)))
-    else None
+  let ts =
+    Scd_obs.Prof.span "templates" (fun () ->
+        Template.find_or_build ~spec ~scheme:config.scheme (fun () ->
+            build_templates ~layout ~pipeline ~engine spec config.scheme))
   in
   let exp =
     {
@@ -728,7 +760,12 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
       trap = tape_trap;
-      templates;
+      ts;
+      stamped =
+        (* Stamping requires the RLE cell shapes ([`Flat] only); [`Flat_push]
+           deliberately keeps the cell-by-cell emitters alive for
+           word-for-word differential testing. *)
+        event_path = `Flat;
     }
   in
   let ctx = Builtins.create_ctx ~seed:config.seed () in

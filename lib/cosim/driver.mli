@@ -83,11 +83,13 @@ val run :
 
     [event_path] selects how expanded events reach the timing model.
     [`Flat] (the default) drains the preallocated flat event tape —
-    allocation-free per bytecode — and fills it by stamping precompiled
-    per-(site, opcode) cell templates ({!Scd_codegen.Template}), patching
-    only the run-dependent words. [`Flat_push] uses the same tape but
-    derives every cell through the cell-by-cell emitters; the differential
-    tests compare the two tapes word for word. [`Boxed] decodes every tape
+    allocation-free per bytecode — and fills it with one reference cell per
+    precompiled per-(site, opcode) cell template
+    ({!Scd_codegen.Template}), carrying only the run-dependent words; the
+    trap sees those reference cells ({!Scd_isa.Stamp.expand_tape} expands
+    them). [`Flat_push] uses the same tape but derives every cell through
+    the cell-by-cell emitters; the differential tests compare the two tapes,
+    references expanded, word for word. [`Boxed] decodes every tape
     cell into a boxed {!Scd_isa.Event.t} and feeds
     {!Scd_uarch.Pipeline.consume}: the legacy delivery path, kept so the
     differential tests can assert all paths produce bit-identical
@@ -106,6 +108,10 @@ val run :
     run driving the timing model) and ["snapshot"] —
     nested below whatever span the caller opened (e.g. [scdsim prof]'s
     ["run"]). With no profile active each span costs one ref load. *)
+
+val templates : Scd_codegen.Spec.t -> Scd_core.Scheme.t -> Scd_codegen.Template.set
+(** The template set and per-opcode tables every run of this spec and
+    scheme uses, built on first use and memoized process-wide. *)
 
 val cycles : result -> int
 val instructions : result -> int

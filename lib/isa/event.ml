@@ -50,6 +50,10 @@ let tag_jte_flush = 10
    cache/TLB traffic. Never appears as a boxed {!type-t}. *)
 let tag_plain_run = 11
 
+(* Tape-only tag: a reference to a registered template ({!Stamp}) standing
+   for all of its cells. Never appears as a boxed {!type-t}. *)
+let tag_template = 12
+
 type scratch = {
   mutable s_pc : int;
   mutable s_tag : int;
@@ -183,9 +187,9 @@ let tape_push_run tape ~pc ~dispatch ~count ~stride =
 (* ------------------------------------------------------------------ *)
 
 (* A template is an immutable [int array] of whole cells in the tape
-   encoding above. Stamping appends it with one [Array.blit]; the returned
-   word base lets the producer patch the few run-dependent words in place
-   ([tape_set_word]) instead of re-computing every cell. *)
+   encoding above. Expanding a reference ({!Stamp.expand_into}) appends it
+   with one blit; the returned word base lets the few run-dependent words
+   be patched in place ([tape_set_word]). *)
 
 let tape_extent tape = tape.len
 let tape_words tape = tape.buf
@@ -193,8 +197,8 @@ let tape_words tape = tape.buf
 (* Copy loops instead of [Array.blit]: on an int array whose destination
    lives in the major heap, the generic blit calls the write barrier
    ([caml_modify]) once per word, while a typed int store compiles to a
-   plain move — stamping is one of the hottest paths in a co-simulated
-   run. *)
+   plain move — expansion is on the hot path of every run that cannot
+   consume a template through its summary. *)
 let tape_blit tape (src : int array) =
   let words = Array.length src in
   let base = tape.len in
@@ -250,6 +254,8 @@ let tape_to_event tape i =
   let tag = flags land 0xF in
   if tag = tag_plain_run then
     invalid_arg "Event.tape_to_event: plain-run cell on the boxed path";
+  if tag = tag_template then
+    invalid_arg "Event.tape_to_event: template reference cell on the boxed path";
   let kind =
     if tag = tag_plain then Plain
     else if tag = tag_mem_read then Mem_read { addr = arg1 }

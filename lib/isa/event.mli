@@ -102,6 +102,12 @@ val tag_plain_run : int
     bit-identical stats, cycles and cache/TLB traffic; never decoded into a
     boxed {!type-t}. *)
 
+val tag_template : int
+(** Tape-only: a reference to a registered template standing for all of
+    its cells; see {!Stamp} for the cell's words. Resolved by
+    {!Scd_uarch.Pipeline.consume_tape}; never decoded into a boxed
+    {!type-t}. *)
+
 val scratch_create : unit -> scratch
 (** A fresh scratch holding a plain event at PC 0. *)
 
@@ -149,13 +155,12 @@ val tape_push_run : tape -> pc:int -> dispatch:bool -> count:int -> stride:int -
 (** Append one {!tag_plain_run} cell covering [count] plain instructions
     spaced [stride] bytes apart. *)
 
-(** {3 Template stamping}
+(** {3 Template expansion}
 
     A precompiled template is an immutable [int array] of whole cells in
-    the tape encoding. Stamping appends it in one [Array.blit]; the
-    returned word base lets the producer patch the few run-dependent words
-    in place instead of re-computing every cell (see
-    {!Scd_codegen.Template}). *)
+    the tape encoding. The tape carries one {!tag_template} reference per
+    stamp; where a consumer needs the cells, {!Stamp.expand_into} appends
+    them in one blit and patches the few run-dependent words in place. *)
 
 val tape_extent : tape -> int
 (** Current length in words — the word base the next append will land at,
@@ -195,6 +200,7 @@ val tape_cell_arg2 : tape -> int -> int
 
 val tape_to_event : tape -> int -> t
 (** Boxed decode of cell [i] (for differential testing of the legacy
-    path). *)
+    path). Raises [Invalid_argument] on a {!tag_plain_run} or
+    {!tag_template} cell, which stand for more than one instruction. *)
 
 val pp : Format.formatter -> t -> unit

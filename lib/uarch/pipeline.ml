@@ -21,6 +21,12 @@ type t = {
   fetch_shift : int;
       (* log2 of the I-cache block size, precomputed: {!fetch} runs once per
          retired instruction and a division there is measurable. *)
+  summary_ok : bool;
+      (* Template summaries ({!Scd_isa.Stamp}) may replace the per-cell walk:
+         single issue, no L2, I-blocks of the summaries' size. *)
+  side : Event.tape;
+      (* Expansion buffer for template references that are not consumed
+         through their summary. *)
   mutable last_fetch_block : int;
   mutable pair_open : bool; (* a second issue slot remains this cycle *)
   mutable group_has_mem : bool;
@@ -50,6 +56,10 @@ let create ?btb ?(indirect = Indirect.Pc_btb) (config : Config.t) =
     scratch = Event.scratch_create ();
     probe = Scd_obs.Probe.null;
     fetch_shift = Scd_util.Bits.log2 config.icache.block_bytes;
+    summary_ok =
+      config.issue_width = 1 && Option.is_none config.l2
+      && config.icache.block_bytes = Stamp.block_bytes;
+    side = Event.tape_create ();
     last_fetch_block = -1;
     pair_open = false;
     group_has_mem = false;
@@ -131,28 +141,13 @@ let mispredict t ~dispatch =
   if t.probe != Scd_obs.Probe.null then
     t.probe.Scd_obs.Probe.on_mispredict ~dispatch
 
-(* The hot entry point: one tape cell's worth of locals — [flags] is the
-   cell's packed flags word, [arg1] the memory address or branch target,
-   [arg2] the hint / opcode / call link. Payload booleans are decoded from
-   [flags] only in the branch that reads them, and nothing is written back
-   to a record, so consuming a cell touches no memory beyond the model's
-   own state. {!consume_scratch} and {!consume} are shims over this. *)
-let consume_cell t ~pc ~flags ~arg1 ~arg2 =
+(* The predictor side of one control instruction ([tag_cond_branch] ..
+   [tag_jru]), after its fetch and issue: direction, BTB, RAS and indirect
+   traffic, mispredict and bubble charges, and the per-kind counters. *)
+let control t ~tag ~pc ~flags ~arg1 ~arg2 =
   let s = t.stats in
-  s.instructions <- s.instructions + 1;
   let dispatch = flags land Event.flag_dispatch <> 0 in
-  if dispatch then s.dispatch_instructions <- s.dispatch_instructions + 1;
-  if flags land Event.flag_sets_rop <> 0 then
-    t.last_rop_index <- s.instructions;
-  fetch t pc;
-  let tag = flags land 0xF in
-  issue t
-    ~mem:(tag = Event.tag_mem_read || tag = Event.tag_mem_write)
-    ~control:(tag >= Event.tag_cond_branch && tag <= Event.tag_jru);
-  if tag = Event.tag_plain || tag = Event.tag_jte_flush then ()
-  else if tag = Event.tag_mem_read || tag = Event.tag_mem_write then
-    data_access t arg1
-  else if tag = Event.tag_cond_branch then begin
+  if tag = Event.tag_cond_branch then begin
     let taken = flags land Event.flag_taken <> 0 in
     s.cond_branches <- s.cond_branches + 1;
     let predicted_taken = Direction.predict t.direction ~pc in
@@ -261,7 +256,30 @@ let consume_cell t ~pc ~flags ~arg1 ~arg2 =
       stall t t.config.bop_hit_bubble;
       t.pair_open <- false
     end
-  end;
+  end
+
+(* The hot entry point: one tape cell's worth of locals — [flags] is the
+   cell's packed flags word, [arg1] the memory address or branch target,
+   [arg2] the hint / opcode / call link. Payload booleans are decoded from
+   [flags] only in the branch that reads them, and nothing is written back
+   to a record, so consuming a cell touches no memory beyond the model's
+   own state. {!consume_scratch} and {!consume} are shims over this. *)
+let consume_cell t ~pc ~flags ~arg1 ~arg2 =
+  let s = t.stats in
+  s.instructions <- s.instructions + 1;
+  let dispatch = flags land Event.flag_dispatch <> 0 in
+  if dispatch then s.dispatch_instructions <- s.dispatch_instructions + 1;
+  if flags land Event.flag_sets_rop <> 0 then
+    t.last_rop_index <- s.instructions;
+  fetch t pc;
+  let tag = flags land 0xF in
+  issue t
+    ~mem:(tag = Event.tag_mem_read || tag = Event.tag_mem_write)
+    ~control:(tag >= Event.tag_cond_branch && tag <= Event.tag_jru);
+  if tag = Event.tag_plain || tag = Event.tag_jte_flush then ()
+  else if tag = Event.tag_mem_read || tag = Event.tag_mem_write then
+    data_access t arg1
+  else control t ~tag ~pc ~flags ~arg1 ~arg2;
   (* Retirement hook last, so interval samplers observe this instruction's
      cycle and miss accounting in full. *)
   if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
@@ -350,27 +368,68 @@ let consume_plain_run t ~pc ~dispatch ~count ~stride =
       if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
     done
 
+(* A control word of a summary: literal ([src] 0), or the reference's [a]
+   (1) or [b] (2) word. *)
+let pick word src ~a ~b = if src = 0 then word else if src = 1 then a else b
+
+(* A template reference consumed through its summary (the fast path of
+   {!consume_ref}). Equal to walking the expanded cells one by one when the
+   pipeline is single-issue with no L2 and no probe: there every
+   instruction costs exactly one issue cycle (and [group_has_mem], read
+   only with a slot open, is dead); the I-side (I-TLB, I-cache),
+   the D-side (D-TLB, D-cache) and the predictors (direction, BTB, RAS,
+   indirect) share no state, so each stream may run on its own in program
+   order; every other charge is an added stall; and nothing reads the cycle
+   or instruction counters mid-template (a template holds no [bop]). *)
+let consume_summary t (m : Stamp.t) ~a ~b =
+  let s = t.stats in
+  let before = s.instructions in
+  s.instructions <- before + m.instrs;
+  s.dispatch_instructions <- s.dispatch_instructions + m.dispatch_instrs;
+  if m.rop_offset > 0 then t.last_rop_index <- before + m.rop_offset;
+  s.cycles <- s.cycles + m.instrs;
+  let blocks = m.iblocks in
+  for k = 0 to Array.length blocks - 1 do
+    let b = blocks.(k) in
+    fetch t (if b < 0 then a else b lsl t.fetch_shift)
+  done;
+  let daddrs = m.daddrs in
+  for k = 0 to Array.length daddrs - 1 do
+    data_access t (if k = m.dpatch then b else daddrs.(k))
+  done;
+  let c = m.ctrl in
+  let k = ref 0 in
+  while !k < Array.length c do
+    let i = !k in
+    let flags = c.(i + 1) and src = c.(i + 4) in
+    control t ~tag:(flags land 0xF)
+      ~pc:(pick c.(i) (src land 3) ~a ~b)
+      ~flags
+      ~arg1:(pick c.(i + 2) ((src lsr 2) land 3) ~a ~b)
+      ~arg2:(pick c.(i + 3) (src lsr 4) ~a ~b);
+    k := i + Stamp.ctrl_words
+  done
+
 (* The one tape walker. Walks the backing buffer directly: the tape only
    grows on the producer side, so the reference stays valid for the whole
-   drain, and each cell costs four loads feeding {!consume_cell} or
-   {!consume_plain_run} — no scratch round-trip. The walk stops right
-   after the [quota]-th instruction; a run cell straddling that boundary
-   is split in place (its [pc] and count rewritten to the unconsumed
-   tail), so the returned word index resumes exactly where the walk
-   stopped. *)
-let consume_tape_quota t tape ~from ~quota =
+   drain, and each cell costs four loads feeding {!consume_cell},
+   {!consume_plain_run} or {!consume_ref} — no scratch round-trip. The
+   walk stops right after the instruction that reaches [limit] (an
+   absolute [stats.instructions] value); a run cell straddling that
+   boundary is split in place (its [pc] and count rewritten to the
+   unconsumed tail), so the returned word index resumes exactly where the
+   walk stopped. *)
+let rec walk t tape ~from ~limit =
   let words = Event.tape_extent tape in
   let buf = Event.tape_words tape in
   let s = t.stats in
-  let limit =
-    if quota > max_int - s.instructions then max_int
-    else s.instructions + quota
-  in
   let i = ref from in
   while !i < words && s.instructions < limit do
     let base = !i in
     let flags = buf.(base + 1) in
-    if flags land 0xF = Event.tag_plain_run then begin
+    let tag = flags land 0xF in
+    if tag = Event.tag_template then i := consume_ref t buf base flags ~limit
+    else if tag = Event.tag_plain_run then begin
       let pc = buf.(base) in
       let count = buf.(base + 2) in
       let stride = buf.(base + 3) in
@@ -393,6 +452,42 @@ let consume_tape_quota t tape ~from ~quota =
     end
   done;
   !i
+
+(* A template reference at word [base]: through its summary when that is
+   exact and the whole template fits before [limit]; otherwise expanded
+   into the side tape (skipping what an earlier stop consumed) and walked
+   cell by cell. A stop inside the template records the instructions
+   consumed so far in the cell's [arg2] and returns [base], so the caller
+   resumes at the same cell. *)
+and consume_ref t buf base flags ~limit =
+  let m = Stamp.find (Stamp.id_of_flags flags) in
+  let a = buf.(base) and b = buf.(base + 2) and skip = buf.(base + 3) in
+  let s = t.stats in
+  if skip = 0 && m.summarized && t.summary_ok
+     && t.probe == Scd_obs.Probe.null
+     && m.instrs <= limit - s.instructions
+  then begin
+    consume_summary t m ~a ~b;
+    base + Event.cell_words
+  end
+  else begin
+    let from = Stamp.expand_into t.side m ~a ~b ~skip in
+    let before = s.instructions in
+    if walk t t.side ~from ~limit >= Event.tape_extent t.side then
+      base + Event.cell_words
+    else begin
+      buf.(base + 3) <- skip + (s.instructions - before);
+      base
+    end
+  end
+
+let consume_tape_quota t tape ~from ~quota =
+  let s = t.stats in
+  let limit =
+    if quota > max_int - s.instructions then max_int
+    else s.instructions + quota
+  in
+  walk t tape ~from ~limit
 
 let consume_tape t tape =
   ignore (consume_tape_quota t tape ~from:0 ~quota:max_int : int)

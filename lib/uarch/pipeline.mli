@@ -76,6 +76,13 @@ val consume_tape_quota :
     {!Scd_isa.Event.tag_plain_run} cell, that cell is rewritten in place to
     its unconsumed tail, so resuming at the returned index continues with
     the next instruction. The number of instructions retired is the
-    change in [(stats t).instructions]. This is how a context-switch
-    interval lands its JTE flush at an exact instruction boundary.
-    Allocation-free. *)
+    change in [(stats t).instructions]. A {!Scd_isa.Event.tag_template}
+    reference is resolved through {!Scd_isa.Stamp}: consumed through its
+    summary where that is exact (single issue, no L2, no probe, the whole
+    template within the quota, not relocatable, 64-byte I-blocks), else
+    expanded into a pipeline-owned side tape and walked cell by cell; when
+    the stop falls inside it, the reference's [arg2] records the
+    instructions consumed and the returned index is the reference's own.
+    This is how a context-switch interval lands its JTE flush at an exact
+    instruction boundary. Allocation-free once the side tape has grown to
+    the largest template. *)

@@ -456,12 +456,16 @@ let prop_event_paths_agree =
 (* Tentpole differential: template stamping must reproduce the push-based
    expansion *word for word*, not merely land on the same simulation result.
    [`Flat_push] derives every cell through the cell-by-cell emitters on the
-   same tape encoding, so concatenating every batch of both runs must give
-   identical int arrays — run-dependent patch words (fetch addresses, data
-   addresses, branch outcomes, bop hits) included. *)
+   same tape encoding, so concatenating every batch of both runs, with the
+   stamped run's template references expanded, must give identical int
+   arrays — run-dependent patch words (fetch addresses, data addresses,
+   branch outcomes, bop hits) included. *)
+let expanded_words tape =
+  Scd_isa.(Event.tape_snapshot (Stamp.expand_tape tape) ~from:0)
+
 let collect_tape_words event_path config =
   let batches = ref [] in
-  let trap tape = batches := Scd_isa.Event.tape_snapshot tape ~from:0 :: !batches in
+  let trap tape = batches := expanded_words tape :: !batches in
   let (_ : Driver.result) =
     Driver.run ~event_path ~tape_trap:trap config ~source:small_script
   in
@@ -513,10 +517,7 @@ let prop_stamped_tape_words_agree =
               in
               let go event_path =
                 let batches = ref [] in
-                let trap tape =
-                  batches :=
-                    Scd_isa.Event.tape_snapshot tape ~from:0 :: !batches
-                in
+                let trap tape = batches := expanded_words tape :: !batches in
                 let (_ : Driver.result) =
                   Driver.run ~event_path ~tape_trap:trap config ~source
                 in
@@ -526,6 +527,37 @@ let prop_stamped_tape_words_agree =
             Scheme.all)
         [ "lua"; "js" ])
 
+(* Two registered templates for the delivery steps below: a dispatcher
+   (fetch-address patch) and a helper call (call PC, link and return
+   target patched). *)
+let alloc_templates =
+  lazy
+    (let open Scd_isa.Event in
+     let t = tape_create () in
+     tape_push t ~pc:0x2000 ~flags:(tag_mem_read lor flag_dispatch) ~arg1:0x200480
+       ~arg2:(-1);
+     tape_push t ~pc:0x2004
+       ~flags:(tag_mem_read lor flag_dispatch lor flag_sets_rop)
+       ~arg1:0 ~arg2:(-1);
+     tape_push_run t ~pc:0x2008 ~dispatch:true ~count:9 ~stride:4;
+     tape_push t ~pc:0x202c ~flags:(tag_cond_branch lor flag_dispatch)
+       ~arg1:0x3000 ~arg2:(-1);
+     tape_push t ~pc:0x2030 ~flags:(tag_ind_jump lor flag_dispatch)
+       ~arg1:0x5000 ~arg2:(-1);
+     let dispatch =
+       Scd_isa.Stamp.register ~patch_b:[| 6 |] (tape_snapshot t ~from:0)
+     in
+     tape_clear t;
+     tape_push t ~pc:0 ~flags:tag_call ~arg1:0x7000 ~arg2:0;
+     tape_push_run t ~pc:0x7000 ~dispatch:false ~count:11 ~stride:12;
+     tape_push t ~pc:0x7084 ~flags:tag_mem_read ~arg1:0x210000 ~arg2:(-1);
+     tape_push t ~pc:0x7090 ~flags:tag_return ~arg1:0 ~arg2:(-1);
+     let blob =
+       Scd_isa.Stamp.register ~patch_a:[| 0 |] ~patch_b:[| 3; 14 |]
+         (tape_snapshot t ~from:0)
+     in
+     (dispatch, blob))
+
 (* The point of the tape: steady-state event delivery plus engine fast-path
    probes allocate nothing at all. Probes are off (the default
    [Probe.null]); the warm-up loop grows the tape to its final capacity and
@@ -533,9 +565,13 @@ let prop_stamped_tape_words_agree =
    the minor-allocation counter exactly where it was. Covered on the
    single- and dual-issue cores, and with a context-switch [interval]
    drained the way the driver does: a quota walk that splits run cells at
-   the flush boundary and retires the engine there. *)
+   the flush boundary and retires the engine there. Each step also carries
+   two template references: on the single-issue core without an interval
+   they take the summary walk; on the dual-issue core, and wherever an
+   interval stop lands inside one, the expand path. *)
 let flat_delivery_minor_words (machine : Scd_uarch.Config.t) interval =
   let open Scd_isa.Event in
+  let dispatch_template, blob_template = Lazy.force alloc_templates in
   let btb =
     Scd_uarch.Btb.create ~entries:machine.btb_entries ~ways:machine.btb_ways
       ~replacement:machine.btb_replacement ()
@@ -583,6 +619,9 @@ let flat_delivery_minor_words (machine : Scd_uarch.Config.t) interval =
     tape_push tape ~pc:(pc + 8)
       ~flags:(tag_cond_branch lor if i land 1 = 0 then flag_taken else 0)
       ~arg1:(pc + 64) ~arg2:(-1);
+    Scd_isa.Stamp.push tape dispatch_template ~a:0
+      ~b:(0x300d00 + (i land 1023));
+    Scd_isa.Stamp.push tape blob_template ~a:(pc + 32) ~b:(pc + 44);
     drain ();
     (* the engine's architectural fast path, at the flush boundary like the
        driver: probe, install a JTE on a miss *)
@@ -627,18 +666,263 @@ let test_flat_event_delivery_allocation_free () =
         (flat_delivery_minor_words machine interval))
     Scd_uarch.Config.
       [ (simulator, None); (simulator, Some 5); (high_end, None);
-        (high_end, Some 5) ]
+        (high_end, Some 5) ];
+  (* the summary walk and the expand path do run here *)
+  let dispatch_template, _ = Lazy.force alloc_templates in
+  check_bool "the dispatcher template has a summary" true
+    dispatch_template.Scd_isa.Stamp.summarized
+
+(* ------------------------------------------------------------------ *)
+(* Template references: summary walk and expansion vs the cells          *)
+(* ------------------------------------------------------------------ *)
+
+(* The simulator core with 32-byte I-blocks: summaries are built for
+   64-byte blocks, so here every reference takes the expand path. *)
+let sim_i32 =
+  let open Scd_uarch.Config in
+  { simulator with name = "simulator/i32";
+    icache = { simulator.icache with block_bytes = 32 } }
+
+(* One machine per other summary condition: dual issue without an L2,
+   and single issue with one — two-line L1s in front of a one-set L2, so
+   the order in which I- and D-misses reach the L2 decides what it keeps,
+   and the probe suffix reads that back. *)
+let dual_no_l2 =
+  let open Scd_uarch.Config in
+  { high_end with name = "high-end/no-l2"; l2 = None }
+
+let sim_l2 =
+  let open Scd_uarch.Config in
+  let tiny : Scd_uarch.Cache.geometry =
+    { size_bytes = 128; ways = 1; block_bytes = 64; hit_latency = 1 } in
+  { simulator with name = "simulator/l2"; icache = tiny; dcache = tiny;
+    l2 = Some { size_bytes = 256; ways = 4; block_bytes = 64; hit_latency = 8 };
+    l2_latency = 8 }
+
+(* Every template of every set the driver builds, once per distinct cell
+   content, with the shape of its run-dependent words. *)
+let every_template () =
+  let seen = Hashtbl.create 1024 in
+  let out = ref [] in
+  let add kind (t : Scd_codegen.Template.t) =
+    let cells = t.stamp.Scd_isa.Stamp.cells in
+    if not (Hashtbl.mem seen (kind, cells)) then begin
+      Hashtbl.replace seen (kind, cells) ();
+      out := (kind, t.stamp) :: !out
+    end
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun scheme ->
+          let ts = Driver.templates spec scheme in
+          let open Scd_codegen.Template in
+          Array.iter (Array.iter (add `Dispatch)) ts.dispatch;
+          Array.iter (add `Replica) ts.replica;
+          Array.iter (add `Dispatch) ts.scd_prefix;
+          Array.iter (Array.iter (add `Fixed)) ts.scd_miss;
+          Array.iter (add `Blob) ts.rt_blobs;
+          Array.iter (add `Blob) ts.builtin_blobs)
+        Scheme.all)
+    Scd_codegen.Spec.[ rvm; rvm_fused; rvm_replicated; svm ];
+  List.rev !out
+
+(* A random mix of every cell kind over the template's own PCs and data
+   addresses plus strangers: it leaves caches, TLBs, BTB, RAS and
+   predictors partly warm with the template's working set, and the issue
+   state mid-group. *)
+let random_prefix rng (expanded : Scd_isa.Event.tape) =
+  let open Scd_isa.Event in
+  let n = tape_cells expanded in
+  let pick_pc () =
+    if n > 0 && Random.State.bool rng then
+      tape_cell_pc expanded (Random.State.int rng n)
+    else 0x10000 + (4 * Random.State.int rng 8192)
+  in
+  let pick_addr () =
+    if n > 0 && Random.State.bool rng then
+      tape_cell_arg1 expanded (Random.State.int rng n)
+    else 0x200000 + (8 * Random.State.int rng 65536)
+  in
+  let t = tape_create () in
+  for _ = 1 to 20 + Random.State.int rng 120 do
+    let pc = pick_pc () in
+    let flag b f = if b then f else 0 in
+    let dispatch = flag (Random.State.bool rng) flag_dispatch in
+    match Random.State.int rng 10 with
+    | 0 | 1 -> tape_push t ~pc ~flags:(tag_plain lor dispatch) ~arg1:0 ~arg2:(-1)
+    | 2 ->
+      tape_push_run t ~pc ~dispatch:(dispatch <> 0)
+        ~count:(1 + Random.State.int rng 20)
+        ~stride:(if Random.State.bool rng then 4 else 12)
+    | 3 | 4 ->
+      tape_push t ~pc
+        ~flags:((if Random.State.bool rng then tag_mem_read else tag_mem_write)
+                lor dispatch lor flag (Random.State.bool rng) flag_sets_rop)
+        ~arg1:(pick_addr ()) ~arg2:(-1)
+    | 5 ->
+      tape_push t ~pc
+        ~flags:(tag_cond_branch lor dispatch
+                lor flag (Random.State.bool rng) flag_taken)
+        ~arg1:(pick_pc ()) ~arg2:(-1)
+    | 6 -> tape_push t ~pc ~flags:tag_jump ~arg1:(pick_pc ()) ~arg2:(-1)
+    | 7 ->
+      tape_push t ~pc ~flags:tag_call ~arg1:(pick_pc ())
+        ~arg2:(if Random.State.bool rng then -1 else pc + 12)
+    | 8 -> tape_push t ~pc ~flags:tag_return ~arg1:(pick_pc ()) ~arg2:(-1)
+    | _ ->
+      tape_push t ~pc ~flags:(tag_ind_jump lor dispatch) ~arg1:(pick_pc ())
+        ~arg2:(if Random.State.bool rng then -1 else Random.State.int rng 64)
+  done;
+  t
+
+let append dst src =
+  let open Scd_isa.Event in
+  let words = tape_words src in
+  for i = 0 to tape_cells src - 1 do
+    let w = i * cell_words in
+    tape_push dst ~pc:words.(w) ~flags:words.(w + 1) ~arg1:words.(w + 2)
+      ~arg2:words.(w + 3)
+  done
+
+(* Cells that read back the state a template leaves: a hitting bop (the
+   .op distance, visible as stall bubbles under the test's long [rop_gap]),
+   its own cells again (I- and D-side residency, BTB, direction and
+   indirect history, RAS pushes), returns (the RAS top) and a load pair
+   (the open issue group). *)
+let probe_suffix (expanded : Scd_isa.Event.tape) ~b =
+  let open Scd_isa.Event in
+  let t = tape_create () in
+  tape_push t ~pc:0x30000 ~flags:(tag_bop lor flag_dispatch lor flag_hit)
+    ~arg1:0x30100 ~arg2:3;
+  append t expanded;
+  List.iter
+    (fun target ->
+      tape_push t ~pc:0x30004 ~flags:tag_return ~arg1:target ~arg2:(-1))
+    [ b; b + 4; 0x30008 ];
+  tape_push t ~pc:0x3000c ~flags:tag_mem_read ~arg1:0x200008 ~arg2:(-1);
+  tape_push t ~pc:0x30010 ~flags:tag_mem_read ~arg1:0x200010 ~arg2:(-1);
+  tape_push t ~pc:0x30014 ~flags:tag_plain ~arg1:0 ~arg2:(-1);
+  t
+
+(* Walk a tape stopping after every [quota] instructions, resuming at the
+   returned index (a stop inside a reference returns the reference's own);
+   false when a stop short of the end retired other than [quota]. *)
+let walk_in_steps pipeline tape ~quota =
+  let open Scd_isa in
+  let stats = Scd_uarch.Pipeline.stats pipeline in
+  let words = Event.tape_extent tape in
+  let i = ref 0 in
+  let ok = ref true in
+  while !i < words do
+    let before = stats.Scd_uarch.Stats.instructions in
+    let next = Scd_uarch.Pipeline.consume_tape_quota pipeline tape ~from:!i ~quota in
+    if stats.instructions - before <> quota && next < words then ok := false;
+    i := next
+  done;
+  !ok
+
+(* Consume [prefix], then [tape] (in [quota] steps if given), returning
+   whether every quota stop retired exactly [quota] instructions, the
+   stats, and whether a [probe] saw one [on_retire] per instruction of
+   [tape]. *)
+let consumed_stats ?(probe = false) machine ~prefix tape ~quota =
+  let p = Scd_uarch.Pipeline.create ~indirect:Scd_uarch.Indirect.Vbbi machine in
+  Scd_uarch.Pipeline.consume_tape p prefix;
+  let retired = ref 0 in
+  let before = (Scd_uarch.Pipeline.stats p).instructions in
+  if probe then
+    Scd_uarch.Pipeline.set_probe p
+      (Scd_obs.Probe.create ~on_retire:(fun () -> incr retired) ());
+  let exact =
+    match quota with
+    | None ->
+      Scd_uarch.Pipeline.consume_tape p tape;
+      true
+    | Some quota -> walk_in_steps p tape ~quota
+  in
+  let stats = Scd_uarch.Pipeline.stats p in
+  (exact, stats, (not probe) || !retired = stats.instructions - before)
+
+(* The consume summary and the expand path against the ground truth:
+   the template's expanded cells walked one instruction at a time. Every
+   template of every set, from a random prefix state on each machine: the
+   reference whole (the summary where it applies), with a quota stop at
+   every instruction offset inside it, with one stop at a random offset,
+   and whole under a retirement probe (which must fire once per
+   instruction). *)
+let test_template_references_match_cells () =
+  let open Scd_isa in
+  let machines =
+    (* a [rop_gap] longer than any template, so the probe bop's stall
+       reads back exactly where the template left its .op producer *)
+    List.map
+      (fun (m : Scd_uarch.Config.t) -> { m with rop_gap = 256 })
+      Scd_uarch.Config.
+        [ simulator; fpga; high_end; sim_i32; dual_no_l2; sim_l2 ]
+  in
+  let rng = Random.State.make [| 2016 |] in
+  let checked = ref 0 in
+  List.iter
+    (fun (kind, (st : Stamp.t)) ->
+      let code_pc () = 0x10000 + (4 * Random.State.int rng 8192) in
+      let a, b =
+        match kind with
+        | `Dispatch -> (0, 0x300d00 + Random.State.int rng 4096)
+        | `Replica -> (code_pc (), 0x300d00 + Random.State.int rng 4096)
+        | `Fixed -> (0, 0)
+        | `Blob ->
+          let a = code_pc () in
+          (a, a + Scd_codegen.Layout.hot_stride)
+      in
+      let reference = Event.tape_create () in
+      Stamp.push reference st ~a ~b;
+      let expanded = Stamp.expand_tape reference in
+      let suffix = probe_suffix expanded ~b in
+      List.iter
+        (fun (machine : Scd_uarch.Config.t) ->
+          let prefix = random_prefix rng expanded in
+          let cells = Event.tape_create () in
+          append cells expanded;
+          append cells suffix;
+          let _, truth, _ = consumed_stats machine ~prefix cells ~quota:(Some 1) in
+          List.iter
+            (fun (label, probe, quota) ->
+              let tape = Event.tape_create () in
+              Stamp.push tape st ~a ~b;
+              append tape suffix;
+              let exact, stats, probed =
+                consumed_stats ~probe machine ~prefix tape ~quota
+              in
+              incr checked;
+              let fail why =
+                Alcotest.failf "template %d (%d instructions) on %s, %s: %s"
+                  st.id st.instrs machine.name label why
+              in
+              if not exact then fail "a quota stop retired the wrong count";
+              if not (Scd_uarch.Stats.equal stats truth) then
+                fail "stats differ from the cells";
+              if not probed then fail "the probe missed retirements")
+            [ ("whole", false, None); ("quota 1", false, Some 1);
+              ("one stop", false,
+               Some (1 + Random.State.int rng (max 1 st.instrs)));
+              ("probe", true, None) ])
+        machines)
+    (every_template ());
+  check_bool "checked every template" true (!checked > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Emission-stride regressions (dispatch-PC spacing)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Collect every cell of every tape batch of a run as (pc, tag, arg1, arg2)
-   tuples, via the [tape_trap] observer. *)
+(* Collect every cell of every tape batch of a run, template references
+   expanded, as (pc, tag, arg1, arg2) tuples, via the [tape_trap]
+   observer. *)
 let collect_cells config =
   let open Scd_isa.Event in
   let cells = ref [] in
   let trap tape =
+    let tape = Scd_isa.Stamp.expand_tape tape in
     for i = 0 to tape_cells tape - 1 do
       cells :=
         (tape_cell_pc tape i, tape_cell_tag tape i, tape_cell_arg1 tape i,
@@ -787,6 +1071,8 @@ let () =
           Alcotest.test_case "stamped tape words identical" `Quick
             test_stamped_tape_words_identical;
           QCheck_alcotest.to_alcotest prop_stamped_tape_words_agree;
+          Alcotest.test_case "template references match their cells" `Quick
+            test_template_references_match_cells;
           Alcotest.test_case "flat delivery allocation-free" `Quick
             test_flat_event_delivery_allocation_free;
         ] );

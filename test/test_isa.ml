@@ -529,6 +529,72 @@ let test_exec_rop_tracking () =
   check_bool "Rop valid" true v;
   check_int "Rop masked" 3 d
 
+(* ------------------------------------------------------------------ *)
+(* Template references (Stamp)                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A blob-shaped template: call (PC and link patched), a plain run, a load,
+   the return (target patched). *)
+let blob_cells =
+  let open Event in
+  let t = tape_create () in
+  tape_push t ~pc:0 ~flags:tag_call ~arg1:0x4000 ~arg2:0;
+  tape_push_run t ~pc:0x4000 ~dispatch:false ~count:5 ~stride:12;
+  tape_push t ~pc:0x403c ~flags:tag_mem_read ~arg1:0x9000 ~arg2:(-1);
+  tape_push t ~pc:0x4048 ~flags:tag_return ~arg1:0 ~arg2:(-1);
+  tape_snapshot t ~from:0
+
+let test_stamp_reference_rejected_on_boxed_path () =
+  let blob = Stamp.register ~patch_a:[| 0 |] ~patch_b:[| 3; 14 |] blob_cells in
+  let tape = Event.tape_create () in
+  Stamp.push tape blob ~a:0x1000 ~b:0x100c;
+  Alcotest.check_raises "tape_to_event rejects a reference"
+    (Invalid_argument
+       "Event.tape_to_event: template reference cell on the boxed path")
+    (fun () -> ignore (Event.tape_to_event tape 0 : Event.t))
+
+let test_stamp_unknown_id_fails_closed () =
+  Alcotest.check_raises "an unregistered id is named"
+    (Invalid_argument "Stamp.find: no template has id 987654")
+    (fun () -> ignore (Stamp.find 987654 : Stamp.t));
+  let tape = Event.tape_create () in
+  Event.tape_push tape ~pc:0 ~flags:(Event.tag_template lor (987654 lsl 4))
+    ~arg1:0 ~arg2:0;
+  Alcotest.check_raises "expanding a dangling reference fails the same way"
+    (Invalid_argument "Stamp.find: no template has id 987654")
+    (fun () -> ignore (Stamp.expand_tape tape : Event.tape));
+  Alcotest.check_raises "a nested reference is refused at registration"
+    (Invalid_argument
+       "Stamp.register: cell 0 has tag 12 (nested template reference)")
+    (fun () ->
+      ignore
+        (Stamp.register (Event.tape_snapshot tape ~from:0) : Stamp.t))
+
+(* Expansion patches the call-site words, and a skip resumes inside a run
+   cell exactly where a quota walk stopped. *)
+let test_stamp_expand_patches_and_skips () =
+  let blob = Stamp.register ~patch_a:[| 0 |] ~patch_b:[| 3; 14 |] blob_cells in
+  check_int "instructions" 8 blob.instrs;
+  check_bool "summarized" true blob.summarized;
+  let side = Event.tape_create () in
+  let from = Stamp.expand_into side blob ~a:0x1000 ~b:0x100c ~skip:0 in
+  check_int "no skip starts at word 0" 0 from;
+  check_int "call pc patched" 0x1000 (Event.tape_cell_pc side 0);
+  check_int "call link patched" 0x100c (Event.tape_cell_arg2 side 0);
+  check_int "return target patched" 0x100c (Event.tape_cell_arg1 side 3);
+  let from = Stamp.expand_into side blob ~a:0x1000 ~b:0x100c ~skip:3 in
+  check_int "skip 3 stops in the run cell" Event.cell_words from;
+  check_int "run pc advanced by two strides" 0x4018 (Event.tape_cell_pc side 1);
+  check_int "run count cut to its tail" 3 (Event.tape_cell_arg1 side 1);
+  let tape = Event.tape_create () in
+  Stamp.push tape blob ~a:0x1000 ~b:0x100c;
+  Event.tape_push tape ~pc:0x1010 ~flags:Event.tag_plain ~arg1:0 ~arg2:(-1);
+  let expanded = Stamp.expand_tape tape in
+  check_int "expand_tape: four template cells then the plain one" 5
+    (Event.tape_cells expanded);
+  check_int "expand_tape keeps the trailing cell" 0x1010
+    (Event.tape_cell_pc expanded 4)
+
 let () =
   Alcotest.run "scd_isa"
     [
@@ -571,6 +637,15 @@ let () =
           Alcotest.test_case "target annotation" `Quick test_disasm_branch_target_annotation;
           Alcotest.test_case "dump program" `Quick test_disasm_dump_program;
           QCheck_alcotest.to_alcotest prop_disasm_total_on_encodable;
+        ] );
+      ( "stamp",
+        [
+          Alcotest.test_case "boxed path rejects references" `Quick
+            test_stamp_reference_rejected_on_boxed_path;
+          Alcotest.test_case "unknown id fails closed" `Quick
+            test_stamp_unknown_id_fails_closed;
+          Alcotest.test_case "expansion patches and skips" `Quick
+            test_stamp_expand_patches_and_skips;
         ] );
       ( "exec",
         [
