@@ -84,8 +84,11 @@ val run :
     [event_path] selects how expanded events reach the timing model.
     [`Flat] (the default) drains the preallocated flat event tape —
     allocation-free per bytecode — and fills it with one reference cell per
-    precompiled per-(site, opcode) cell template
-    ({!Scd_codegen.Template}), carrying only the run-dependent words; the
+    precompiled cell template ({!Scd_codegen.Template}): per (site, opcode)
+    dispatcher, helper call, and handler variant (the body and, unless a
+    helper call or jump threading intervenes, its tail jump), carrying
+    only the run-dependent words; a handler's data accesses before its
+    last two stay ordinary cells. The
     trap sees those reference cells ({!Scd_isa.Stamp.expand_tape} expands
     them). [`Flat_push] uses the same tape but derives every cell through
     the cell-by-cell emitters; the differential tests compare the two tapes,
@@ -111,7 +114,9 @@ val run :
 
 val templates : Scd_codegen.Spec.t -> Scd_core.Scheme.t -> Scd_codegen.Template.set
 (** The template set and per-opcode tables every run of this spec and
-    scheme uses, built on first use and memoized process-wide. *)
+    scheme uses, built on first use and memoized process-wide. Its
+    handler variants start unregistered and are registered as runs (or
+    {!Scd_codegen.Template.variant}) first ask for them. *)
 
 val cycles : result -> int
 val instructions : result -> int

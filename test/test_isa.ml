@@ -595,6 +595,36 @@ let test_stamp_expand_patches_and_skips () =
   check_int "expand_tape keeps the trailing cell" 0x1010
     (Event.tape_cell_pc expanded 4)
 
+(* A handler-shaped template: two loads whose addresses take [a] then [b],
+   a plain run, the tail jump. Both data addresses are summarized as
+   patches; an [a] that would also feed a PC is refused. *)
+let test_stamp_two_data_patches () =
+  let open Event in
+  let t = tape_create () in
+  tape_push t ~pc:0x5000 ~flags:tag_mem_read ~arg1:0 ~arg2:(-1);
+  tape_push t ~pc:0x500c ~flags:tag_mem_write ~arg1:0 ~arg2:(-1);
+  tape_push_run t ~pc:0x5018 ~dispatch:false ~count:4 ~stride:12;
+  tape_push t ~pc:0x5048 ~flags:tag_jump ~arg1:0x1000 ~arg2:(-1);
+  let cells = tape_snapshot t ~from:0 in
+  let h = Stamp.register ~patch_a:[| 2 |] ~patch_b:[| 6 |] cells in
+  check_bool "summarized" true h.summarized;
+  check_int "instructions" 7 h.instrs;
+  check_int "a patches the first data address" 0 h.dpatch_a;
+  check_int "b patches the second" 1 h.dpatch;
+  let side = tape_create () in
+  ignore (Stamp.expand_into side h ~a:0x200008 ~b:0x240010 ~skip:0 : int);
+  check_int "a patched in" 0x200008 (tape_cell_arg1 side 0);
+  check_int "b patched in" 0x240010 (tape_cell_arg1 side 1);
+  Alcotest.check_raises "a feeding a PC and a data address is refused"
+    (Invalid_argument "Stamp.register: a feeds both a PC and a data address")
+    (fun () ->
+      ignore (Stamp.register ~patch_a:[| 2; 12 |] ~patch_b:[| 6 |] cells
+              : Stamp.t));
+  Alcotest.check_raises "so is a relocatable template's a on a data address"
+    (Invalid_argument "Stamp.register: a feeds both a PC and a data address")
+    (fun () ->
+      ignore (Stamp.register ~reloc:true ~patch_a:[| 2 |] cells : Stamp.t))
+
 let () =
   Alcotest.run "scd_isa"
     [
@@ -646,6 +676,8 @@ let () =
             test_stamp_unknown_id_fails_closed;
           Alcotest.test_case "expansion patches and skips" `Quick
             test_stamp_expand_patches_and_skips;
+          Alcotest.test_case "two data patches, a never both" `Quick
+            test_stamp_two_data_patches;
         ] );
       ( "exec",
         [

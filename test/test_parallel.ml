@@ -77,6 +77,68 @@ let test_default_jobs_positive () =
   Alcotest.(check bool) "at least one" true (Pool.default_jobs () >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Handler variants: first-use registration across domains             *)
+(* ------------------------------------------------------------------ *)
+
+(* Two pool domains co-simulate the same cells of one (spec, scheme)
+   against its cold handler-variant table, starting together, so they
+   miss on the same variants at about the same time. Their results must
+   equal a --jobs 1 pass, and each variant must have been registered
+   once: one template id per variant, and no other registration. *)
+let test_variant_first_use () =
+  let module T = Scd_codegen.Template in
+  let (module F : Scd_cosim.Frontend.S) = Scd_cosim.Frontend.get "lua" in
+  let scheme = Scd_core.Scheme.Vbbi in
+  let spec =
+    F.spec { Scd_cosim.Frontend.superinstructions = false;
+             bytecode_replication = false }
+  in
+  let ts = Scd_cosim.Driver.templates spec scheme in
+  Alcotest.(check int)
+    "the variant table starts cold" 0
+    (List.length (T.registered_variants ts.T.variants));
+  let sources =
+    List.map
+      (fun w -> Scd_workloads.Workload.source w Scd_workloads.Workload.Test)
+      (List.filteri (fun i _ -> i < 4) Scd_workloads.Registry.all)
+  in
+  let run_all () =
+    List.map
+      (fun source ->
+        Scd_cosim.Result.to_string
+          (Scd_cosim.Driver.run
+             { Scd_cosim.Driver.default_config with scheme } ~source))
+      sources
+  in
+  let registered0 = Scd_isa.Stamp.registered () in
+  let arrived = Atomic.make 0 in
+  let start_together () =
+    Atomic.incr arrived;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () -. t0 < 1.0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let pooled =
+    Pool.with_pool ~jobs:2 (fun p ->
+        Pool.map p (fun () -> start_together (); run_all ()) [ (); () ])
+  in
+  let variants = T.registered_variants ts.T.variants in
+  let ids =
+    List.sort_uniq Int.compare
+      (List.map (fun (_, _, (st : Scd_isa.Stamp.t)) -> st.id) variants)
+  in
+  Alcotest.(check bool) "the runs registered variants" true (variants <> []);
+  Alcotest.(check int)
+    "one template id per variant" (List.length variants) (List.length ids);
+  Alcotest.(check int)
+    "no registration beyond the variants" (List.length variants)
+    (Scd_isa.Stamp.registered () - registered0);
+  let sequential = Pool.with_pool ~jobs:1 (fun _ -> run_all ()) in
+  Alcotest.(check (list (list string)))
+    "both domains' results = jobs 1 results" [ sequential; sequential ] pooled
+
+(* ------------------------------------------------------------------ *)
 (* Determinism: pooled experiments render byte-identical tables        *)
 (* ------------------------------------------------------------------ *)
 
@@ -226,6 +288,11 @@ let () =
             test_nested_run;
           Alcotest.test_case "default_jobs is positive" `Quick
             test_default_jobs_positive;
+        ] );
+      ( "template variants",
+        [
+          Alcotest.test_case "first-use registration across domains" `Quick
+            test_variant_first_use;
         ] );
       ( "single flight",
         [
