@@ -3,8 +3,9 @@
     A checked-in table of [minor_words_per_run] ceilings for the bench
     [--micro] kernels, plus a comparator that loads a bench [--json] report
     and flags overruns. `bench/main.exe --micro --check-budgets` (wired
-    into [dune runtest] as the budget-check rule) fails when any budgeted
-    micro allocates more than [budget * (1 + tolerance) + slack_words] —
+    into [dune runtest] by a runtest-only rule in bench/dune) fails when
+    any budgeted micro allocates more than
+    [budget * (1 + tolerance) + slack_words] —
     the regression gate for the allocation-free co-simulation roadmap
     item. *)
 
