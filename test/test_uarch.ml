@@ -393,6 +393,45 @@ let test_cache_tlb_geometry () =
   ignore (Cache.access t ~addr:0x5000); (* evicts 0x2000 *)
   Alcotest.(check bool) "lru evicted" true (Cache.access t ~addr:0x2000 = `Miss)
 
+(* The pipeline skips a TLB access that repeats the TLB's last page. Its
+   TLB misses must still be those of a TLB that sees every access: a
+   random stream with runs on one page and jumps among more pages than the
+   TLB holds, against two reference TLBs fed every I-block change and
+   every data access. *)
+let prop_tlb_skip_keeps_misses =
+  QCheck.Test.make ~name:"TLB same-page skip keeps every TLB miss" ~count:20
+    QCheck.(pair (int_range 1 10) small_nat)
+    (fun (entries, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let config =
+        { Config.simulator with itlb_entries = entries; dtlb_entries = entries }
+      in
+      let p = Pipeline.create config in
+      let itlb = Cache.create (Cache.tlb_geometry ~entries) in
+      let dtlb = Cache.create (Cache.tlb_geometry ~entries) in
+      let imiss = ref 0 and dmiss = ref 0 and last_block = ref (-1) in
+      let page () = Random.State.int rng (3 * entries) * 4096 in
+      let pc = ref (page ()) and data = ref (page ()) in
+      let tape = Event.tape_create () in
+      for _ = 1 to 2_000 do
+        if Random.State.int rng 8 = 0 then pc := page ()
+        else pc := !pc + 4 + (64 * Random.State.int rng 3);
+        if Random.State.int rng 4 = 0 then data := page ();
+        let addr = !data + (8 * Random.State.int rng 512) in
+        let mem = Random.State.bool rng in
+        if !pc lsr 6 <> !last_block then begin
+          last_block := !pc lsr 6;
+          if Cache.access itlb ~addr:!pc = `Miss then incr imiss
+        end;
+        if mem && Cache.access dtlb ~addr = `Miss then incr dmiss;
+        Event.tape_push tape ~pc:!pc
+          ~flags:(if mem then Event.tag_mem_read else Event.tag_plain)
+          ~arg1:(if mem then addr else 0) ~arg2:(-1)
+      done;
+      Pipeline.consume_tape p tape;
+      let s = Pipeline.stats p in
+      s.itlb_misses = !imiss && s.dtlb_misses = !dmiss)
+
 (* ------------------------------------------------------------------ *)
 (* Indirect prediction                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -797,6 +836,7 @@ let () =
           Alcotest.test_case "dispatch attribution" `Quick test_pipeline_dispatch_attribution;
           QCheck_alcotest.to_alcotest prop_scratch_reuse_leaks_nothing;
           QCheck_alcotest.to_alcotest prop_plain_run_matches_per_instruction;
+          QCheck_alcotest.to_alcotest prop_tlb_skip_keeps_misses;
         ] );
       ( "config",
         [
